@@ -89,7 +89,7 @@ enum Phase {
 /// The per-node driver of the content-oblivious Robbins-cycle construction.
 ///
 /// The node consumes pulse arrivals (`on_pulse`) and produces pulse send
-/// requests (`take_outgoing`); when [`is_done`](Self::is_done) becomes true
+/// requests (`drain_outgoing`); when [`is_done`](Self::is_done) becomes true
 /// the final cycle and the live engine over it can be extracted with
 /// [`into_result`](Self::into_result).
 #[derive(Debug)]
@@ -237,9 +237,10 @@ impl ConstructionNode {
         Ok((cycle, engine))
     }
 
-    /// Drains the pulses the node wants to send, in order.
-    pub fn take_outgoing(&mut self) -> Vec<NodeId> {
-        std::mem::take(&mut self.outgoing)
+    /// Drains the pulses the node wants to send, in order. The buffer keeps
+    /// its capacity for the node's next sends.
+    pub fn drain_outgoing(&mut self) -> std::vec::Drain<'_, NodeId> {
+        self.outgoing.drain(..)
     }
 
     /// Kicks off the construction: the designated root sends the first DFS
@@ -356,17 +357,13 @@ impl ConstructionNode {
         }
     }
 
+    /// Sends the ear engine's pulses, then the main engine's.
     fn drain_engine_outgoing(&mut self) {
-        let mut pulses = Vec::new();
-        if let Some(e) = &mut self.ear {
-            pulses.extend(e.take_outgoing());
+        let queued = self.outgoing.len();
+        for engine in [&mut self.ear, &mut self.main].into_iter().flatten() {
+            self.outgoing.extend(engine.drain_outgoing());
         }
-        if let Some(e) = &mut self.main {
-            pulses.extend(e.take_outgoing());
-        }
-        for to in pulses {
-            self.send_pulse(to);
-        }
+        self.pulses_sent += (self.outgoing.len() - queued) as u64;
     }
 
     /// Takes the next decoded message destined to this node, if any.
@@ -951,14 +948,14 @@ impl ConstructionSimulator {
 impl Reactor for ConstructionSimulator {
     fn on_start(&mut self, ctx: &mut Context) {
         self.inner.on_start();
-        for to in self.inner.take_outgoing() {
+        for to in self.inner.drain_outgoing() {
             ctx.send(to, pulse_payload());
         }
     }
 
     fn on_message(&mut self, from: NodeId, _payload: &[u8], ctx: &mut Context) {
         self.inner.on_pulse(from);
-        for to in self.inner.take_outgoing() {
+        for to in self.inner.drain_outgoing() {
             ctx.send(to, pulse_payload());
         }
     }

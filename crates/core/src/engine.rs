@@ -21,7 +21,7 @@
 //! would. Comments reference the pseudo-code line numbers of Algorithm 3
 //! (and Algorithm 2 for the binary data phase).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use fdn_graph::cycle::{CycleDirection, LocalCycleView};
 use fdn_graph::NodeId;
@@ -42,8 +42,9 @@ enum State {
     /// REQUEST pulse.
     AwaitTrigger,
     /// Line 3: waiting to receive one REQUEST per occurrence, i.e. per
-    /// counterclockwise neighbour with multiplicity.
-    AwaitRequests { remaining: BTreeMap<NodeId, usize> },
+    /// counterclockwise neighbour with multiplicity (the neighbours' `owed`
+    /// counts).
+    AwaitRequests,
     /// Line 8: waiting for a TOKEN (counterclockwise) or the first DATA
     /// (clockwise) pulse.
     AwaitPulse,
@@ -146,12 +147,29 @@ enum ReceiverState {
     Binary(BinaryReceiver),
 }
 
+/// One neighbour of the node on the cycle, with the pulse bookkeeping the
+/// wait points consume.
+#[derive(Debug, Clone, Copy)]
+struct CycleNeighbor {
+    id: NodeId,
+    /// Travel direction of pulses arriving from this neighbour: clockwise
+    /// from a `prev`, counterclockwise from a `next`.
+    dir: CycleDirection,
+    /// Occurrences having this neighbour as their `prev` (0 for a `next`);
+    /// edge rotation permutes occurrences, so this never changes.
+    requests: usize,
+    /// Pulses received from this neighbour and not yet consumed.
+    pending: usize,
+    /// REQUEST pulses still owed by this neighbour at line 3.
+    owed: usize,
+}
+
 /// The per-node engine of the content-oblivious cycle simulator.
 ///
 /// Feed it pulse arrivals with [`on_pulse`](Self::on_pulse) and simulated
 /// messages with [`enqueue`](Self::enqueue); drain the pulses it wants to
-/// send with [`take_outgoing`](Self::take_outgoing) and the messages it has
-/// decoded with [`take_delivered`](Self::take_delivered).
+/// send with [`drain_outgoing`](Self::drain_outgoing) and the messages it
+/// has decoded with [`take_delivered`](Self::take_delivered).
 ///
 /// The engine is `Clone`: its state is plain data, which is what allows the
 /// construct-once checkpoint ([`crate::checkpoint`]) to freeze an idle engine
@@ -161,11 +179,11 @@ enum ReceiverState {
 pub struct RobbinsEngine {
     node: NodeId,
     view: LocalCycleView,
-    dir_from: BTreeMap<NodeId, CycleDirection>,
+    /// The cycle neighbours, sorted by id.
+    neighbors: Vec<CycleNeighbor>,
     is_token_holder: bool,
     encoding: Encoding,
     queue: VecDeque<WireMessage>,
-    pending: BTreeMap<NodeId, usize>,
     state: State,
     outgoing: Vec<PulseTo>,
     delivered: Vec<WireMessage>,
@@ -194,29 +212,43 @@ impl RobbinsEngine {
     ) -> Result<Self, CoreError> {
         encoding.validate()?;
         let node = view.node();
-        let mut dir_from = BTreeMap::new();
+        let mut neighbors: Vec<CycleNeighbor> = Vec::new();
         for occ in view.occurrences() {
-            for (nbr, dir) in [
+            for (id, dir) in [
                 (occ.prev, CycleDirection::Clockwise),
                 (occ.next, CycleDirection::Counterclockwise),
             ] {
-                if let Some(existing) = dir_from.insert(nbr, dir) {
-                    if existing != dir {
+                let i = match neighbors.binary_search_by_key(&id, |n| n.id) {
+                    Ok(i) if neighbors[i].dir != dir => {
                         return Err(CoreError::InvalidCycle(format!(
-                            "edge ({nbr}, {node}) is used in both directions"
+                            "edge ({id}, {node}) is used in both directions"
                         )));
                     }
+                    Ok(i) => i,
+                    Err(i) => {
+                        let fresh = CycleNeighbor {
+                            id,
+                            dir,
+                            requests: 0,
+                            pending: 0,
+                            owed: 0,
+                        };
+                        neighbors.insert(i, fresh);
+                        i
+                    }
+                };
+                if dir == CycleDirection::Clockwise {
+                    neighbors[i].requests += 1;
                 }
             }
         }
         Ok(RobbinsEngine {
             node,
             view,
-            dir_from,
+            neighbors,
             is_token_holder,
             encoding,
             queue: VecDeque::new(),
-            pending: BTreeMap::new(),
             state: State::AwaitTrigger,
             outgoing: Vec::new(),
             delivered: Vec::new(),
@@ -231,7 +263,7 @@ impl RobbinsEngine {
     /// fields: the rotated view, token flag, encoding and the pulse/epoch
     /// counters frozen at the construction/online boundary. Everything else
     /// about an idle engine (empty queue, no pending pulses, `AwaitTrigger`
-    /// wait point, derived `dir_from` map) is reconstructed, so an engine
+    /// wait point, derived neighbour table) is reconstructed, so an engine
     /// that was idle when encoded round-trips exactly.
     ///
     /// # Errors
@@ -297,7 +329,7 @@ impl RobbinsEngine {
     pub fn state_label(&self) -> &'static str {
         match self.state {
             State::AwaitTrigger => "await-trigger",
-            State::AwaitRequests { .. } => "await-requests",
+            State::AwaitRequests => "await-requests",
             State::AwaitPulse => "await-pulse",
             State::Sender(_) => "sender",
             State::Receiver(_) => "receiver",
@@ -310,7 +342,7 @@ impl RobbinsEngine {
     pub fn is_idle(&self) -> bool {
         matches!(self.state, State::AwaitTrigger)
             && self.queue.is_empty()
-            && self.pending.values().all(|&c| c == 0)
+            && self.neighbors.iter().all(|n| n.pending == 0)
     }
 
     /// A latched fatal error, if the engine observed a protocol violation
@@ -322,7 +354,7 @@ impl RobbinsEngine {
     /// Whether `other` is one of this node's neighbours on the cycle (pulses
     /// from any other node do not belong to this engine).
     pub fn is_cycle_neighbor(&self, other: NodeId) -> bool {
-        self.dir_from.contains_key(&other)
+        self.neighbor(other).is_some()
     }
 
     /// Enqueues a simulated message emitted by the inner protocol `π`
@@ -353,21 +385,22 @@ impl RobbinsEngine {
     /// state machine. Pulse content is ignored — the engine is
     /// content-oblivious by construction.
     pub fn on_pulse(&mut self, from: NodeId) {
-        if !self.dir_from.contains_key(&from) {
+        let Some(i) = self.neighbor(from) else {
             self.fail(format!(
                 "pulse from {from}, which is not a cycle neighbour of {}",
                 self.node
             ));
             return;
-        }
+        };
         self.pulses_received += 1;
-        *self.pending.entry(from).or_insert(0) += 1;
+        self.neighbors[i].pending += 1;
         self.progress();
     }
 
-    /// Drains the pulses the engine wants to send (in order).
-    pub fn take_outgoing(&mut self) -> Vec<PulseTo> {
-        std::mem::take(&mut self.outgoing)
+    /// Drains the pulses the engine wants to send (in order). The buffer
+    /// keeps its capacity for the engine's next sends.
+    pub fn drain_outgoing(&mut self) -> std::vec::Drain<'_, PulseTo> {
+        self.outgoing.drain(..)
     }
 
     /// Drains the messages decoded since the last call. Every node decodes
@@ -396,23 +429,28 @@ impl RobbinsEngine {
         self.outgoing.push(to);
     }
 
+    /// Position of cycle neighbour `id` in `neighbors`.
+    fn neighbor(&self, id: NodeId) -> Option<usize> {
+        self.neighbors.binary_search_by_key(&id, |n| n.id).ok()
+    }
+
     fn pending_count(&self, from: NodeId) -> usize {
-        self.pending.get(&from).copied().unwrap_or(0)
+        self.neighbor(from).map_or(0, |i| self.neighbors[i].pending)
     }
 
     /// First pending neighbour (in id order) whose pulses travel in `dir`.
     fn pending_in_dir(&self, dir: CycleDirection) -> Option<NodeId> {
-        self.pending
+        self.neighbors
             .iter()
-            .find(|(nbr, &count)| count > 0 && self.dir_from[nbr] == dir)
-            .map(|(&nbr, _)| nbr)
+            .find(|n| n.pending > 0 && n.dir == dir)
+            .map(|n| n.id)
     }
 
     /// Consumes one pending pulse from `from`; returns false if none pending.
     fn consume_from(&mut self, from: NodeId) -> bool {
-        match self.pending.get_mut(&from) {
-            Some(c) if *c > 0 => {
-                *c -= 1;
+        match self.neighbor(from) {
+            Some(i) if self.neighbors[i].pending > 0 => {
+                self.neighbors[i].pending -= 1;
                 true
             }
             _ => false,
@@ -508,7 +546,7 @@ impl RobbinsEngine {
     fn step_once(&mut self) -> bool {
         match &self.state {
             State::AwaitTrigger => self.step_await_trigger(),
-            State::AwaitRequests { .. } => self.step_await_requests(),
+            State::AwaitRequests => self.step_await_requests(),
             State::AwaitPulse => self.step_await_pulse(),
             State::Sender(_) => self.step_sender(),
             State::Receiver(ReceiverState::Unary(_)) => self.step_receiver_unary(),
@@ -531,33 +569,25 @@ impl RobbinsEngine {
         }
         // Line 3: one REQUEST is owed per occurrence, i.e. per
         // counterclockwise neighbour with multiplicity.
-        let remaining = self.view.prev_multiplicities().into_iter().collect();
-        self.state = State::AwaitRequests { remaining };
+        for n in &mut self.neighbors {
+            n.owed = n.requests;
+        }
+        self.state = State::AwaitRequests;
         true
     }
 
     /// Line 3: consume one REQUEST per owed occurrence, then (lines 4–7) the
     /// holder releases the token.
     fn step_await_requests(&mut self) -> bool {
-        let needs: Vec<(NodeId, usize)> = match &self.state {
-            State::AwaitRequests { remaining } => {
-                remaining.iter().map(|(&nbr, &need)| (nbr, need)).collect()
-            }
-            _ => unreachable!("step_await_requests called in a different state"),
-        };
         let mut progressed = false;
-        let mut new_remaining = BTreeMap::new();
-        for (nbr, mut need) in needs {
-            while need > 0 && self.consume_from(nbr) {
-                need -= 1;
-                progressed = true;
-            }
-            new_remaining.insert(nbr, need);
+        let mut done = true;
+        for n in &mut self.neighbors {
+            let consumed = n.owed.min(n.pending);
+            n.owed -= consumed;
+            n.pending -= consumed;
+            progressed |= consumed > 0;
+            done &= n.owed == 0;
         }
-        let done = new_remaining.values().all(|&need| need == 0);
-        self.state = State::AwaitRequests {
-            remaining: new_remaining,
-        };
         if done {
             if self.is_token_holder {
                 // Lines 5–6: release the token counterclockwise.
@@ -926,19 +956,42 @@ mod tests {
         e.enqueue(WireMessage::broadcast(NodeId(0), vec![]))
             .unwrap();
         // Line 2: a clockwise REQUEST to its next (node 1).
-        assert_eq!(e.take_outgoing(), vec![NodeId(1)]);
+        assert_eq!(e.drain_outgoing().collect::<Vec<_>>(), vec![NodeId(1)]);
         assert!(!e.is_idle());
         // When the REQUEST from its prev (node 2) arrives, it releases the
         // token counterclockwise (to node 2).
         e.on_pulse(NodeId(2));
-        assert_eq!(e.take_outgoing(), vec![NodeId(2)]);
+        assert_eq!(e.drain_outgoing().collect::<Vec<_>>(), vec![NodeId(2)]);
         assert!(!e.is_token_holder());
         // The token comes back around the cycle (from node 1): node 0
         // re-acquires it and starts the data phase with a clockwise pulse
         // (the frame's leading 1) to node 1.
         e.on_pulse(NodeId(1));
         assert!(e.is_token_holder());
-        assert_eq!(e.take_outgoing(), vec![NodeId(1)]);
+        assert_eq!(e.drain_outgoing().collect::<Vec<_>>(), vec![NodeId(1)]);
+    }
+
+    #[test]
+    fn a_repeated_prev_owes_one_request_per_occurrence() {
+        // On the cycle 0 1 2 0 1 3, both occurrences of node 1 have node 0
+        // as their prev: line 3 waits for two REQUESTs from node 0.
+        let cycle = fdn_graph::RobbinsCycle::new(
+            [0u32, 1, 2, 0, 1, 3].iter().map(|&x| NodeId(x)).collect(),
+        )
+        .unwrap();
+        let view = cycle.local_view(NodeId(1)).unwrap();
+        let mut e = RobbinsEngine::new(view, false, Encoding::binary()).unwrap();
+        e.enqueue(WireMessage::broadcast(NodeId(1), vec![]))
+            .unwrap();
+        assert_eq!(
+            e.drain_outgoing().collect::<Vec<_>>(),
+            vec![NodeId(2), NodeId(3)]
+        );
+        e.on_pulse(NodeId(0));
+        assert_eq!(e.state_label(), "await-requests");
+        e.on_pulse(NodeId(0));
+        assert_eq!(e.state_label(), "await-pulse");
+        assert!(e.error().is_none());
     }
 
     /// Hand-driven relay loop over a simple cycle of `engines`.
@@ -957,7 +1010,7 @@ mod tests {
                 "engine {idx}: {:?}",
                 engines[idx].error()
             );
-            for next_to in engines[idx].take_outgoing() {
+            for next_to in engines[idx].drain_outgoing() {
                 inflight.push((to, next_to));
             }
         }
@@ -979,8 +1032,7 @@ mod tests {
             .enqueue(WireMessage::broadcast(NodeId(0), vec![0xA5]))
             .unwrap();
         let inflight: Vec<(NodeId, NodeId)> = engines[0]
-            .take_outgoing()
-            .into_iter()
+            .drain_outgoing()
             .map(|to| (NodeId(0), to))
             .collect();
         relay(&mut engines, inflight, 10_000);
@@ -1004,8 +1056,7 @@ mod tests {
             .enqueue(WireMessage::to_node(NodeId(1), NodeId(2), vec![]))
             .unwrap();
         let inflight: Vec<(NodeId, NodeId)> = engines[1]
-            .take_outgoing()
-            .into_iter()
+            .drain_outgoing()
             .map(|to| (NodeId(1), to))
             .collect();
         relay(&mut engines, inflight, 1_000_000);
@@ -1033,7 +1084,7 @@ mod tests {
             .unwrap();
         let mut inflight: Vec<(NodeId, NodeId)> = Vec::new();
         for i in [2usize, 3] {
-            for to in engines[i].take_outgoing() {
+            for to in engines[i].drain_outgoing() {
                 inflight.push((NodeId(i as u32), to));
             }
         }
@@ -1070,8 +1121,7 @@ mod tests {
             .enqueue(WireMessage::broadcast(NodeId(4), vec![0x5A, 0x11]))
             .unwrap();
         let inflight: Vec<(NodeId, NodeId)> = engines[4]
-            .take_outgoing()
-            .into_iter()
+            .drain_outgoing()
             .map(|to| (NodeId(4), to))
             .collect();
         relay(&mut engines, inflight, 100_000);

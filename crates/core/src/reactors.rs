@@ -113,15 +113,16 @@ impl<P: InnerProtocol> CycleSimulator<P> {
                     }
                 }
             }
-            let pulses = self.engine.take_outgoing();
-            if pulses.is_empty() && self.engine.take_delivered().is_empty() {
+            let mut pulsed = false;
+            for to in self.engine.drain_outgoing() {
+                ctx.send(to, pulse_payload());
+                pulsed = true;
+            }
+            if !pulsed && self.engine.take_delivered().is_empty() {
                 // Nothing new was produced; note take_delivered() above is
                 // empty unless a re-entrant decode happened, which cannot
                 // occur without new pulses.
                 break;
-            }
-            for to in pulses {
-                ctx.send(to, pulse_payload());
             }
         }
     }

@@ -21,8 +21,9 @@ use fdn_graph::NodeId;
 pub struct Payload(Arc<[u8]>);
 
 impl Payload {
-    /// Copies the bytes out into an owned `Vec` (transcripts and the
-    /// [`crate::NoiseModel`] API still speak `Vec<u8>`).
+    /// Copies the bytes out into an owned `Vec`, one allocation per call.
+    /// Only transcripts and the [`crate::NoiseModel`] API, which still speak
+    /// `Vec<u8>`, need one; queueing and delivering a payload never copies.
     pub fn to_vec(&self) -> Vec<u8> {
         self.0.to_vec()
     }

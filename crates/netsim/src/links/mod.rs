@@ -314,6 +314,18 @@ impl LinkTable {
         let link = self
             .link_between(env.from, env.to)
             .expect("envelope on a non-existent link");
+        (link, self.push_on(link, env))
+    }
+
+    /// Enqueues an envelope on `link`, already resolved by the caller with
+    /// [`LinkTable::link_between`], and returns the queue depth after the
+    /// push. The link's ends must be the envelope's `(from, to)`.
+    pub(crate) fn push_on(&mut self, link: LinkId, env: Envelope) -> usize {
+        debug_assert_eq!(
+            self.ends[link.index()],
+            (env.from, env.to),
+            "envelope pushed onto another pair's link"
+        );
         let (len, ops) = self.queues.push(link, env);
         if len == 1 {
             self.active_pos[link.index()] = self.active.len();
@@ -321,7 +333,7 @@ impl LinkTable {
         }
         self.total += 1;
         self.queue_ops += ops;
-        (link, len)
+        len
     }
 
     /// The oldest in-flight envelope on `link`, if any.

@@ -5,14 +5,22 @@ use fdn_graph::NodeId;
 use crate::envelope::Payload;
 use crate::observer::PhaseEvent;
 
+/// Messages queued during one event, as `(to, payload)` in send order.
+pub(crate) type Outbox = Vec<(NodeId, Payload)>;
+
 /// The per-event execution context handed to a [`Reactor`]: identifies the
 /// node, exposes its neighbourhood, collects outgoing messages and — when an
 /// observer is attached — semantic phase markers.
+///
+/// Inside a [`crate::Simulation`] the neighbour list is borrowed from the
+/// graph and the outbox is the simulation's one send buffer, lent to each
+/// context in turn, so handling an event copies no adjacency and allocates
+/// no outbox.
 #[derive(Debug)]
 pub struct Context<'a> {
     node: NodeId,
     neighbors: &'a [NodeId],
-    outbox: Vec<(NodeId, Payload)>,
+    outbox: Outbox,
     markers: Vec<(usize, PhaseEvent)>,
     markers_enabled: bool,
 }
@@ -26,6 +34,16 @@ impl<'a> Context<'a> {
             outbox: Vec::new(),
             markers: Vec::new(),
             markers_enabled: false,
+        }
+    }
+
+    /// Creates a context whose outbox is the (empty) buffer `outbox`, so its
+    /// capacity is reused; [`Context::take_outbox`] hands it back.
+    pub(crate) fn with_outbox(node: NodeId, neighbors: &'a [NodeId], outbox: Outbox) -> Self {
+        debug_assert!(outbox.is_empty(), "lent outbox still holds sends");
+        Context {
+            outbox,
+            ..Context::new(node, neighbors)
         }
     }
 
@@ -53,7 +71,8 @@ impl<'a> Context<'a> {
         self.outbox.len()
     }
 
-    /// Drains the queued messages (used by the engine).
+    /// Drains the queued messages (used by the engine, which takes back the
+    /// buffer it lent, capacity included).
     pub fn take_outbox(&mut self) -> Vec<(NodeId, Payload)> {
         std::mem::take(&mut self.outbox)
     }

@@ -6,8 +6,8 @@ use crate::envelope::{Envelope, Payload};
 use crate::error::SimError;
 use crate::links::{LinkStore, LinkTable, LinkView};
 use crate::noise::{NoiseModel, Noiseless};
-use crate::observer::{NullObserver, Observer, PhaseMarker};
-use crate::reactor::{Context, Reactor};
+use crate::observer::{NullObserver, Observer, PhaseEvent, PhaseMarker};
+use crate::reactor::{Context, Outbox, Reactor};
 use crate::scheduler::{RandomScheduler, Scheduler};
 use crate::stats::Stats;
 use crate::transcript::{Transcript, TranscriptEvent};
@@ -43,6 +43,9 @@ pub struct Simulation<R, O = NullObserver> {
     stats: Stats,
     transcript: Option<Transcript>,
     observer: O,
+    /// The one send buffer, lent to every event's [`Context`] and handed
+    /// back empty (see [`Simulation::drain_context`]).
+    outbox: Outbox,
     next_seq: u64,
     steps: u64,
     max_steps: u64,
@@ -75,6 +78,7 @@ impl<R: Reactor> Simulation<R> {
             stats: Stats::new(n),
             transcript: None,
             observer: NullObserver,
+            outbox: Vec::new(),
             next_seq: 0,
             steps: 0,
             max_steps: DEFAULT_MAX_STEPS,
@@ -133,6 +137,7 @@ impl<R: Reactor> Simulation<R> {
             stats: Stats::new(n),
             transcript: None,
             observer: NullObserver,
+            outbox: Vec::new(),
             next_seq: 0,
             steps: 0,
             max_steps: DEFAULT_MAX_STEPS,
@@ -165,6 +170,7 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
             stats: self.stats,
             transcript: self.transcript,
             observer,
+            outbox: self.outbox,
             next_seq: self.next_seq,
             steps: self.steps,
             max_steps: self.max_steps,
@@ -310,14 +316,7 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
         self.observer
             .on_attach(self.nodes.len(), self.links.link_count());
         for id in 0..self.nodes.len() {
-            let node = NodeId(id as u32);
-            let neighbors = self.graph.neighbors(node).to_vec();
-            let mut ctx = Context::new(node, &neighbors);
-            if O::ENABLED {
-                ctx.enable_markers();
-            }
-            self.nodes[id].on_start(&mut ctx);
-            self.drain_context(node, &mut ctx)?;
+            self.with_node_mut(NodeId(id as u32), |node, ctx| node.on_start(ctx))?;
         }
         Ok(())
     }
@@ -385,14 +384,9 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
                 payload: delivered_payload.clone(),
             });
         }
-        let to = env.to;
-        let neighbors = self.graph.neighbors(to).to_vec();
-        let mut ctx = Context::new(to, &neighbors);
-        if O::ENABLED {
-            ctx.enable_markers();
-        }
-        self.nodes[to.index()].on_message(env.from, &delivered_payload, &mut ctx);
-        self.drain_context(to, &mut ctx)?;
+        self.with_node_mut(env.to, |node, ctx| {
+            node.on_message(env.from, &delivered_payload, ctx);
+        })?;
         Ok(true)
     }
 
@@ -453,29 +447,36 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
     where
         F: FnOnce(&mut R, &mut Context),
     {
-        let neighbors = self.graph.neighbors(node).to_vec();
-        let mut ctx = Context::new(node, &neighbors);
+        // The context borrows the node's adjacency from the graph and the
+        // simulation's one send buffer: an event copies no neighbour list
+        // and allocates no outbox. `start` and `step` run through here too.
+        let outbox = std::mem::take(&mut self.outbox);
+        let mut ctx = Context::with_outbox(node, self.graph.neighbors(node), outbox);
         if O::ENABLED {
             ctx.enable_markers();
         }
         f(&mut self.nodes[node.index()], &mut ctx);
-        self.drain_context(node, &mut ctx)
+        let outbox = ctx.take_outbox();
+        let markers = ctx.take_markers();
+        self.drain_context(node, outbox, markers)
     }
 
     /// Moves a reactor's outbox into the network and forwards its phase
     /// markers to the observer, interleaved at the outbox positions where
     /// they were recorded — so every send lands on the correct side of a
-    /// phase boundary. For the null observer both the marker vector and the
-    /// `O::ENABLED` blocks compile away.
-    fn drain_context(&mut self, from: NodeId, ctx: &mut Context) -> Result<(), SimError> {
-        let outbox = ctx.take_outbox();
-        let markers = if O::ENABLED {
-            ctx.take_markers()
-        } else {
-            Vec::new()
-        };
+    /// phase boundary. For the null observer the marker vector stays empty
+    /// and the `O::ENABLED` blocks compile away. The emptied buffer goes
+    /// back to the simulation for the next event, also when a send fails
+    /// part-way: the unsent tail is dropped, never carried over.
+    fn drain_context(
+        &mut self,
+        from: NodeId,
+        mut outbox: Outbox,
+        markers: Vec<(usize, PhaseEvent)>,
+    ) -> Result<(), SimError> {
         let mut markers = markers.into_iter().peekable();
-        for (pos, (to, payload)) in outbox.into_iter().enumerate() {
+        let mut sent = Ok(());
+        for (pos, (to, payload)) in outbox.drain(..).enumerate() {
             if O::ENABLED {
                 while markers.peek().is_some_and(|&(at, _)| at <= pos) {
                     let (_, event) = markers.next().expect("peeked marker");
@@ -485,8 +486,13 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
                     );
                 }
             }
-            self.enqueue_send(from, to, payload)?;
+            sent = self.enqueue_send(from, to, payload);
+            if sent.is_err() {
+                break;
+            }
         }
+        self.outbox = outbox;
+        sent?;
         if O::ENABLED {
             for (_, event) in markers {
                 self.observer.on_marker(
@@ -499,9 +505,11 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
     }
 
     fn enqueue_send(&mut self, from: NodeId, to: NodeId, payload: Payload) -> Result<(), SimError> {
-        if !self.graph.has_edge(from, to) {
+        // `from_parts` proved the link registry bijective with the graph's
+        // adjacency, so the registry lookup doubles as the neighbour check.
+        let Some(link) = self.links.link_between(from, to) else {
             return Err(SimError::NotNeighbor { from, to });
-        }
+        };
         if payload.is_empty() {
             return Err(SimError::EmptyPayload { from, to });
         }
@@ -520,16 +528,15 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
                 payload: env.payload.to_vec(),
             });
         }
-        let (env_from, env_to) = (env.from, env.to);
-        let bits = (env.payload.len() * 8) as u64;
-        let (link, depth) = self.links.push(env);
+        let bits = env.bits();
+        let depth = self.links.push_on(link, env);
         self.stats
-            .record_queue_depth(env_from, env_to, depth as u64, self.links.total() as u64);
+            .record_queue_depth(from, to, depth as u64, self.links.total() as u64);
         if depth == 1 {
-            self.observer.on_link_activation(link, env_from, env_to);
+            self.observer.on_link_activation(link, from, to);
         }
         self.observer
-            .on_send(env_from, env_to, bits, depth, self.links.total());
+            .on_send(from, to, bits, depth, self.links.total());
         Ok(())
     }
 }
@@ -851,6 +858,85 @@ mod tests {
         let nodes = (0..4).map(|_| BadSender { empty: true }).collect();
         let mut sim = Simulation::new(g, nodes).unwrap();
         assert!(matches!(sim.run(), Err(SimError::EmptyPayload { .. })));
+    }
+
+    #[test]
+    fn a_failed_drain_leaves_no_tail_for_the_next_event() {
+        /// On path 0-1-2-3: node 0 starts the run with one send to node 1,
+        /// and node 1's first delivery queues [valid, non-neighbour, valid].
+        struct Tail {
+            tripped: bool,
+        }
+        impl Reactor for Tail {
+            fn on_start(&mut self, ctx: &mut Context) {
+                if ctx.node() == NodeId(0) {
+                    ctx.send(NodeId(1), vec![9]);
+                }
+            }
+            fn on_message(&mut self, _f: NodeId, _p: &[u8], ctx: &mut Context) {
+                if ctx.node() == NodeId(1) && !self.tripped {
+                    self.tripped = true;
+                    ctx.send(NodeId(0), vec![1]);
+                    ctx.send(NodeId(3), vec![2]);
+                    ctx.send(NodeId(2), vec![3]);
+                }
+            }
+        }
+        let g = generators::path(4).unwrap();
+        let nodes = (0..4).map(|_| Tail { tripped: false }).collect();
+        let mut sim = Simulation::new(g, nodes).unwrap().with_transcript();
+        sim.start().unwrap();
+        assert_eq!(
+            sim.step(),
+            Err(SimError::NotNeighbor {
+                from: NodeId(1),
+                to: NodeId(3)
+            })
+        );
+        // Only the send before the failure entered the network; the next
+        // event delivers it and nothing else.
+        assert_eq!(sim.inflight_count(), 1);
+        assert_eq!(sim.stats().sent_total, 2);
+        assert_eq!(sim.step(), Ok(true));
+        assert_eq!(sim.step(), Ok(false));
+        assert_eq!(sim.stats().sent_total, 2);
+
+        // The same through an injected event.
+        let injected = sim.with_node_mut(NodeId(2), |_node, ctx| {
+            ctx.send(NodeId(1), vec![4]);
+            ctx.send(NodeId(0), vec![5]);
+            ctx.send(NodeId(3), vec![6]);
+        });
+        assert_eq!(
+            injected,
+            Err(SimError::NotNeighbor {
+                from: NodeId(2),
+                to: NodeId(0)
+            })
+        );
+        assert_eq!(sim.inflight_count(), 1);
+        sim.with_node_mut(NodeId(3), |_node, ctx| ctx.send(NodeId(2), vec![7]))
+            .unwrap();
+        assert_eq!(sim.inflight_count(), 2);
+        assert_eq!(sim.run_to_quiescence().unwrap().steps, 2);
+        assert_eq!(sim.stats().sent_total, 4);
+        assert_eq!(sim.stats().delivered_total, 4);
+
+        let events = sim.transcript().unwrap().events();
+        let payloads = |sent: bool| -> Vec<Vec<u8>> {
+            events
+                .iter()
+                .filter_map(|e| match e {
+                    TranscriptEvent::Sent { payload, .. } if sent => Some(payload.clone()),
+                    TranscriptEvent::Delivered { payload, .. } if !sent => Some(payload.clone()),
+                    _ => None,
+                })
+                .collect()
+        };
+        assert_eq!(payloads(true), vec![vec![9], vec![1], vec![4], vec![7]]);
+        let mut delivered = payloads(false);
+        delivered.sort();
+        assert_eq!(delivered, vec![vec![1], vec![4], vec![7], vec![9]]);
     }
 
     #[test]

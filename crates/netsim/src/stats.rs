@@ -5,16 +5,31 @@
 //! pre-processing phase and `CCoverhead(m)` per simulated message. The
 //! simulator tracks exactly those quantities, per node and per edge.
 
-// fdn-lint: allow(D2) -- live counters only; every export path sorts into StatsSnapshot first
-use std::collections::HashMap;
-
 use fdn_graph::graph::Edge;
 use fdn_graph::NodeId;
 
 use crate::envelope::Envelope;
 
+/// Counters of one directed link `from -> to`, kept in the sender's row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LinkCounts {
+    from: NodeId,
+    to: NodeId,
+    /// Messages sent on the link.
+    sent: u64,
+    /// Deepest FIFO queue recorded on the link, once any depth was recorded
+    /// (a recorded depth of 0 still counts as a mark).
+    high_water: Option<u64>,
+}
+
 /// Counters maintained by a [`crate::Simulation`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The per-link counters live in one row per sending node, sorted by
+/// receiver like the link registry's lookup rows, so recording a send is a
+/// short binary search and never hashes. A link gets its entry on its first
+/// send or queue-depth record. [`Stats::snapshot`] folds the rows into
+/// sorted per-edge and per-link vectors.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stats {
     /// Total messages (pulses) sent.
     pub sent_total: u64,
@@ -29,25 +44,34 @@ pub struct Stats {
     /// High-water mark of the total number of messages in flight at any
     /// instant of the run (queue-depth observability of the link-indexed
     /// event core). Cumulative over the whole run: unlike the send/delivery
-    /// counters it is *not* differenced by [`Stats::since`].
+    /// counters it is *not* differenced by [`StatsSnapshot::since`].
     pub max_inflight: u64,
-    /// Per-directed-link high-water mark of the link's FIFO queue depth.
-    /// Cumulative over the whole run, like [`Stats::max_inflight`].
-    // fdn-lint: allow(D2) -- keyed updates only; snapshot() sorts before export
-    pub per_link_high_water: HashMap<(NodeId, NodeId), u64>,
-    /// Messages sent per undirected edge.
-    // fdn-lint: allow(D2) -- keyed updates only; snapshot() sorts before export
-    pub per_edge_sent: HashMap<Edge, u64>,
     /// Messages sent per node (indexed by node id).
     pub per_node_sent: Vec<u64>,
+    /// Row `i < n` holds the counters of the links leaving node `i`; the
+    /// last row holds those of every sender id `>= n`, so an out-of-range
+    /// id costs one entry, never a row per id. Rows are sorted by
+    /// `(from, to)`.
+    rows: Vec<Vec<LinkCounts>>,
+}
+
+impl Default for Stats {
+    fn default() -> Self {
+        Stats::new(0)
+    }
 }
 
 impl Stats {
     /// Creates zeroed counters for a graph with `n` nodes.
     pub fn new(n: usize) -> Self {
         Stats {
+            sent_total: 0,
+            delivered_total: 0,
+            dropped_total: 0,
+            bits_sent: 0,
+            max_inflight: 0,
             per_node_sent: vec![0; n],
-            ..Default::default()
+            rows: vec![Vec::new(); n + 1],
         }
     }
 
@@ -55,10 +79,7 @@ impl Stats {
     pub fn record_send(&mut self, env: &Envelope) {
         self.sent_total += 1;
         self.bits_sent += env.bits();
-        *self
-            .per_edge_sent
-            .entry(Edge::new(env.from, env.to))
-            .or_insert(0) += 1;
+        self.link_mut(env.from, env.to).sent += 1;
         if let Some(slot) = self.per_node_sent.get_mut(env.from.index()) {
             *slot += 1;
         }
@@ -85,8 +106,8 @@ impl Stats {
         total_inflight: u64,
     ) {
         self.max_inflight = self.max_inflight.max(total_inflight);
-        let hw = self.per_link_high_water.entry((from, to)).or_insert(0);
-        *hw = (*hw).max(link_depth);
+        let hw = &mut self.link_mut(from, to).high_water;
+        *hw = Some(hw.map_or(link_depth, |mark| mark.max(link_depth)));
     }
 
     /// Messages sent by a specific node.
@@ -96,7 +117,8 @@ impl Stats {
 
     /// Messages sent over a specific undirected edge (both directions).
     pub fn sent_on_edge(&self, e: Edge) -> u64 {
-        self.per_edge_sent.get(&e).copied().unwrap_or(0)
+        let sent = |from: NodeId, to: NodeId| self.link(from, to).map_or(0, |l| l.sent);
+        sent(e.lo(), e.hi()) + sent(e.hi(), e.lo())
     }
 
     /// The maximum number of messages sent by any single node.
@@ -105,18 +127,28 @@ impl Stats {
     }
 
     /// Freezes the counters into a cheap, ordered, aggregation-friendly
-    /// [`StatsSnapshot`] (per-edge counters sorted by edge, so two snapshots
-    /// of equal runs are equal values and serialize identically).
+    /// [`StatsSnapshot`]: the two directions of each edge are summed, and
+    /// both per-edge and per-link counters come out sorted, so two
+    /// snapshots of equal runs are equal values and serialize identically.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let mut per_edge_sent: Vec<(Edge, u64)> =
-            self.per_edge_sent.iter().map(|(e, c)| (*e, *c)).collect();
+        let mut per_edge_sent: Vec<(Edge, u64)> = Vec::new();
+        let mut per_link_high_water: Vec<((NodeId, NodeId), u64)> = Vec::new();
+        for l in self.rows.iter().flatten() {
+            if l.sent > 0 {
+                per_edge_sent.push((Edge::new(l.from, l.to), l.sent));
+            }
+            if let Some(mark) = l.high_water {
+                per_link_high_water.push(((l.from, l.to), mark));
+            }
+        }
         per_edge_sent.sort_unstable();
-        let mut per_link_high_water: Vec<((NodeId, NodeId), u64)> = self
-            .per_link_high_water
-            .iter()
-            .map(|(l, c)| (*l, *c))
-            .collect();
-        per_link_high_water.sort_unstable();
+        per_edge_sent.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
         StatsSnapshot {
             sent_total: self.sent_total,
             delivered_total: self.delivered_total,
@@ -129,45 +161,44 @@ impl Stats {
         }
     }
 
-    /// Difference of the counters in `self` relative to an earlier snapshot
-    /// (used to measure the cost of a single phase, e.g. `CCoverhead` of one
-    /// message). High-water marks (`max_inflight`, `per_link_high_water`)
-    /// are run-cumulative, not phase-differencible, so the later values are
-    /// carried through unchanged.
-    pub fn since(&self, earlier: &Stats) -> Stats {
-        // fdn-lint: allow(D2) -- value-keyed difference of two maps; insertion order cannot leak
-        let mut per_edge = HashMap::new();
-        // fdn-lint: allow(F2) -- map-to-map difference keyed by the same edges; iteration order cannot reach rendered bytes (snapshot() sorts)
-        for (e, v) in &self.per_edge_sent {
-            let before = earlier.per_edge_sent.get(e).copied().unwrap_or(0);
-            if *v > before {
-                per_edge.insert(*e, v - before);
+    fn row(&self, from: NodeId) -> usize {
+        from.index().min(self.rows.len() - 1)
+    }
+
+    fn link(&self, from: NodeId, to: NodeId) -> Option<&LinkCounts> {
+        let row = &self.rows[self.row(from)];
+        let i = row.binary_search_by_key(&(from, to), |l| (l.from, l.to));
+        i.ok().map(|i| &row[i])
+    }
+
+    /// The counters of `from -> to`, created zeroed on first use.
+    fn link_mut(&mut self, from: NodeId, to: NodeId) -> &mut LinkCounts {
+        let row = self.row(from);
+        let row = &mut self.rows[row];
+        let i = match row.binary_search_by_key(&(from, to), |l| (l.from, l.to)) {
+            Ok(i) => i,
+            Err(i) => {
+                let fresh = LinkCounts {
+                    from,
+                    to,
+                    sent: 0,
+                    high_water: None,
+                };
+                row.insert(i, fresh);
+                i
             }
-        }
-        Stats {
-            sent_total: self.sent_total - earlier.sent_total,
-            delivered_total: self.delivered_total - earlier.delivered_total,
-            dropped_total: self.dropped_total - earlier.dropped_total,
-            bits_sent: self.bits_sent - earlier.bits_sent,
-            max_inflight: self.max_inflight,
-            per_link_high_water: self.per_link_high_water.clone(),
-            per_edge_sent: per_edge,
-            per_node_sent: self
-                .per_node_sent
-                .iter()
-                .zip(earlier.per_node_sent.iter().chain(std::iter::repeat(&0)))
-                .map(|(now, before)| now - before)
-                .collect(),
-        }
+        };
+        &mut row[i]
     }
 }
 
 /// A frozen, ordered view of a [`Stats`] at one instant.
 ///
-/// Unlike [`Stats`] (whose per-edge map has nondeterministic iteration
-/// order), a snapshot is a plain value: `Clone`/`PartialEq`/`Eq`, per-edge
-/// counters sorted by edge, and therefore safe to diff, aggregate across
-/// parallel runs, and serialize byte-identically. This is the type report
+/// Unlike [`Stats`] (whose per-link counters sit in per-sender rows, one
+/// entry per direction), a snapshot is a plain value: `Clone`/`PartialEq`/
+/// `Eq`, per-edge counters summed over both directions and sorted by edge,
+/// and therefore safe to diff, aggregate across parallel runs, and
+/// serialize byte-identically. This is the type report
 /// aggregation consumes instead of copying counters field by field.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
@@ -199,7 +230,7 @@ impl StatsSnapshot {
     /// The deepest per-link FIFO queue observed at any instant of the run.
     pub fn max_link_high_water(&self) -> u64 {
         self.per_link_high_water
-            .iter() // fdn-lint: allow(F2) -- sorted Vec field (shares its name with Stats' HashMap); order-independent max fold besides
+            .iter()
             .map(|&(_, c)| c)
             .max()
             .unwrap_or(0)
@@ -208,20 +239,21 @@ impl StatsSnapshot {
     /// The heaviest per-edge load (messages on the busiest edge).
     pub fn max_sent_on_edge(&self) -> u64 {
         self.per_edge_sent
-            .iter() // fdn-lint: allow(F2) -- sorted Vec field (shares its name with Stats' HashMap); order-independent max fold besides
+            .iter()
             .map(|&(_, c)| c)
             .max()
             .unwrap_or(0)
     }
 
     /// Per-counter difference relative to an `earlier` snapshot of the same
-    /// run (edges that did not change are omitted). High-water marks are
-    /// run-cumulative and carried through unchanged, as in [`Stats::since`].
+    /// run (edges that did not change are omitted). Used to measure the cost
+    /// of a single phase, e.g. `CCoverhead` of one message. High-water marks
+    /// (`max_inflight`, `per_link_high_water`) are run-cumulative, not
+    /// phase-differencible, so the later values are carried through
+    /// unchanged.
     pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
         let mut per_edge_sent = Vec::new();
-        // fdn-lint: allow(F2) -- both operands are the sorted Vec field of StatsSnapshot (name shared with Stats' HashMap); merge order is the sorted order
         let mut before = earlier.per_edge_sent.iter().copied().peekable();
-        // fdn-lint: allow(F2) -- sorted Vec field of StatsSnapshot, not a map; see above
         for &(e, now) in &self.per_edge_sent {
             let mut prev = 0;
             while let Some(&(be, bc)) = before.peek() {
@@ -258,6 +290,11 @@ impl StatsSnapshot {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
     fn env(from: u32, to: u32, len: usize) -> Envelope {
@@ -287,22 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn since_computes_difference() {
-        let mut s = Stats::new(2);
-        s.record_send(&env(0, 1, 1));
-        let snapshot = s.clone();
-        s.record_send(&env(0, 1, 1));
-        s.record_send(&env(1, 0, 3));
-        s.record_delivery();
-        let d = s.since(&snapshot);
-        assert_eq!(d.sent_total, 2);
-        assert_eq!(d.delivered_total, 1);
-        assert_eq!(d.bits_sent, 32);
-        assert_eq!(d.sent_by(NodeId(0)), 1);
-        assert_eq!(d.sent_on_edge(Edge::new(NodeId(0), NodeId(1))), 2);
-    }
-
-    #[test]
     fn default_is_zero() {
         let s = Stats::default();
         assert_eq!(s.sent_total, 0);
@@ -315,13 +336,12 @@ mod tests {
         let mut s = Stats::new(2);
         s.record_send(&env(0, 1, 1));
         s.record_drop();
-        let first = s.clone();
+        let first = s.snapshot();
         s.record_drop();
         s.record_drop();
         assert_eq!(s.dropped_total, 3);
         assert_eq!(s.snapshot().dropped_total, 3);
-        assert_eq!(s.since(&first).dropped_total, 2);
-        assert_eq!(s.snapshot().since(&first.snapshot()).dropped_total, 2);
+        assert_eq!(s.snapshot().since(&first).dropped_total, 2);
     }
 
     #[test]
@@ -362,45 +382,59 @@ mod tests {
         );
         assert_eq!(snap.max_link_high_water(), 2);
         // High-water marks are cumulative: `since` carries them through.
-        let earlier = Stats::new(3);
-        assert_eq!(s.since(&earlier).max_inflight, 3);
-        assert_eq!(snap.since(&earlier.snapshot()).max_inflight, 3);
-        assert_eq!(snap.since(&earlier.snapshot()).max_link_high_water(), 2);
+        let earlier = Stats::new(3).snapshot();
+        assert_eq!(snap.since(&earlier).max_inflight, 3);
+        assert_eq!(snap.since(&earlier).max_link_high_water(), 2);
     }
 
     #[test]
-    fn per_link_high_water_serializes_order_independently() {
-        // The live per-link map is an unordered HashMap: the same
-        // observations arriving in different orders give maps with
-        // different iteration orders. Every render/serialize path must go
-        // through the sorted snapshot — two snapshots of order-permuted
-        // stats must be equal values AND byte-identical when formatted.
-        let obs = [
-            ((3u32, 2u32), 5u64),
-            ((0, 1), 2),
-            ((2, 3), 4),
-            ((1, 0), 1),
-            ((0, 3), 7),
-        ];
-        let mut a = Stats::new(4);
-        for &((f, t), d) in &obs {
-            a.record_queue_depth(NodeId(f), NodeId(t), d, d);
+    fn rows_match_an_ordered_map_reference() {
+        // Random sends and queue-depth marks in both directions of each
+        // pair, on node ids past `n` too (up to the largest id), with
+        // depth-0 marks and links that are marked but never sent on: the
+        // rows must fold into exactly the snapshot an ordered map per
+        // counter gives.
+        const N: u32 = 6;
+        let ids: Vec<NodeId> = (0..N + 2).chain([u32::MAX]).map(NodeId).collect();
+        for seed in 0..20u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut stats = Stats::new(N as usize);
+            // The reference: one ordered map per counter, keyed by
+            // undirected edge and by directed link.
+            let mut per_edge_sent: BTreeMap<Edge, u64> = BTreeMap::new();
+            let mut per_link_high_water: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
+            for _ in 0..rng.gen_range(0..300u32) {
+                let from = ids[rng.gen_range(0..ids.len())];
+                let to = loop {
+                    let to = ids[rng.gen_range(0..ids.len())];
+                    if to != from {
+                        break to;
+                    }
+                };
+                if rng.gen_bool(0.5) {
+                    stats.record_send(&env(from.0, to.0, 1));
+                    *per_edge_sent.entry(Edge::new(from, to)).or_insert(0) += 1;
+                } else {
+                    let depth = rng.gen_range(0..4u64);
+                    stats.record_queue_depth(from, to, depth, depth);
+                    let mark = per_link_high_water.entry((from, to)).or_insert(0);
+                    *mark = (*mark).max(depth);
+                }
+            }
+            let snap = stats.snapshot();
+            let edges: Vec<(Edge, u64)> = per_edge_sent.iter().map(|(&e, &c)| (e, c)).collect();
+            let marks: Vec<((NodeId, NodeId), u64)> =
+                per_link_high_water.iter().map(|(&l, &c)| (l, c)).collect();
+            assert_eq!(snap.per_edge_sent, edges, "seed {seed}");
+            assert_eq!(snap.per_link_high_water, marks, "seed {seed}");
+            for (i, &u) in ids.iter().enumerate() {
+                for &v in &ids[i + 1..] {
+                    let e = Edge::new(u, v);
+                    let expected = per_edge_sent.get(&e).copied().unwrap_or(0);
+                    assert_eq!(stats.sent_on_edge(e), expected, "seed {seed}, {e:?}");
+                }
+            }
         }
-        let mut b = Stats::new(4);
-        for &((f, t), d) in obs.iter().rev() {
-            b.record_queue_depth(NodeId(f), NodeId(t), d, d);
-        }
-        let (sa, sb) = (a.snapshot(), b.snapshot());
-        assert_eq!(sa, sb);
-        assert_eq!(format!("{sa:?}"), format!("{sb:?}"));
-        // Serializing twice is also stable byte for byte.
-        assert_eq!(format!("{sa:?}"), format!("{:?}", a.snapshot()));
-        // And the order is the canonical (from, to).
-        let links: Vec<(NodeId, NodeId)> = sa.per_link_high_water.iter().map(|&(l, _)| l).collect();
-        let mut sorted = links.clone();
-        sorted.sort_unstable();
-        assert_eq!(links, sorted);
-        assert_eq!(sa.max_link_high_water(), 7);
     }
 
     #[test]
@@ -409,22 +443,20 @@ mod tests {
         s.record_send(&env(0, 1, 1));
         let first = s.snapshot();
         s.record_send(&env(0, 1, 1));
+        s.record_send(&env(1, 0, 3));
         s.record_send(&env(1, 2, 2));
         s.record_delivery();
         let d = s.snapshot().since(&first);
-        assert_eq!(d.sent_total, 2);
+        assert_eq!(d.sent_total, 3);
         assert_eq!(d.delivered_total, 1);
-        assert_eq!(d.bits_sent, 24);
+        assert_eq!(d.bits_sent, 48);
+        assert_eq!(d.per_node_sent, vec![1, 2, 0]);
         assert_eq!(
             d.per_edge_sent,
             vec![
-                (Edge::new(NodeId(0), NodeId(1)), 1),
+                (Edge::new(NodeId(0), NodeId(1)), 2),
                 (Edge::new(NodeId(1), NodeId(2)), 1),
             ]
         );
-        // Agrees with the Stats-level diff.
-        let mut earlier = Stats::new(3);
-        earlier.record_send(&env(0, 1, 1));
-        assert_eq!(d, s.since(&earlier).snapshot());
     }
 }
