@@ -1,5 +1,5 @@
-//! Regenerates the experiment tables of EXPERIMENTS.md via the `fdn-lab`
-//! campaign engine.
+//! Prints the experiment tables E1–E8 as markdown, each one computed by the
+//! `fdn-lab` campaign engine.
 //!
 //! Usage: `cargo run -p fdn-bench --release --bin report [e1|...|e8|all]`
 //!

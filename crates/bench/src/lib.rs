@@ -7,8 +7,8 @@
 //!
 //! * the library functions here run a workload and return the paper's cost
 //!   metrics (pulses sent, `CCinit`, `CCoverhead`, cycle length);
-//! * the `report` binary prints one markdown table per experiment
-//!   (E1–E7 in DESIGN.md / EXPERIMENTS.md);
+//! * the `report` binary prints one markdown table per experiment (E1–E8,
+//!   each described in that binary's docs);
 //! * the Criterion benches in `benches/` time the same workloads so
 //!   `cargo bench` tracks performance regressions.
 

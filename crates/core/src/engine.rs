@@ -801,7 +801,10 @@ impl RobbinsEngine {
     }
 
     /// Data phase, non-holder, binary encoding (Algorithm 2 receiver lifted
-    /// to non-simple cycles; see DESIGN.md for the occurrence-cursor rule).
+    /// to non-simple cycles). One cursor per direction walks the node's
+    /// occurrences, clockwise pulses upward from occurrence 0 and
+    /// counterclockwise ones downward from `k - 1`; a bit is recorded only at
+    /// a pulse's first arrival, every later occurrence just forwards it.
     fn step_receiver_binary(&mut self) -> bool {
         let l = match self.encoding {
             Encoding::Binary { l } => l,

@@ -235,17 +235,20 @@ impl<P: InnerProtocol> FullSimulator<P> {
     }
 
     fn pump_online(&mut self, ctx: &mut Context) {
+        // Flush the engine's pulses, then hand what it decoded to the inner
+        // protocol; its replies re-enter the engine and the next round
+        // flushes their pulses. Draining before taking the decoded messages
+        // keeps every `OnlineWindow` marker after the pulses that precede
+        // it in the outbox. A pulse with nothing decoded costs one round.
         loop {
             let Some(engine) = &mut self.engine else {
                 return;
             };
-            let delivered = engine.take_delivered();
-            let mut pulsed = false;
             for to in engine.drain_outgoing() {
                 ctx.send(to, pulse_payload());
-                pulsed = true;
             }
-            if delivered.is_empty() && !pulsed {
+            let delivered = engine.take_delivered();
+            if delivered.is_empty() {
                 return;
             }
             let mut emitted = Vec::new();

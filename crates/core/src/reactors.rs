@@ -92,38 +92,32 @@ impl<P: InnerProtocol> CycleSimulator<P> {
     }
 
     fn pump(&mut self, ctx: &mut Context) {
-        // Move decoded messages into the inner protocol, collect what it
-        // emits, and flush the engine's pulses to the network — repeating
-        // until a fixed point, since deliveries can trigger new sends.
+        // Move decoded messages into the inner protocol and its replies into
+        // the engine until nothing decoded is left (an enqueue may decode
+        // again), then flush the engine's pulses, in emission order, to the
+        // network once.
         loop {
             let delivered = self.engine.take_delivered();
-            let mut emitted = Vec::new();
+            if delivered.is_empty() {
+                break;
+            }
             for msg in &delivered {
                 if msg.is_for(self.node) && msg.src != self.node {
                     let mut io = ProtocolIo::new(self.node, self.graph_neighbors.clone());
                     self.inner.on_deliver(msg.src, &msg.payload, &mut io);
-                    emitted.extend(io.take_sends());
-                }
-            }
-            for m in emitted {
-                let wire = WireMessage::from_protocol(self.node, m);
-                if let Err(e) = self.engine.enqueue(wire) {
-                    if self.error.is_none() {
-                        self.error = Some(e);
+                    for m in io.take_sends() {
+                        let wire = WireMessage::from_protocol(self.node, m);
+                        if let Err(e) = self.engine.enqueue(wire) {
+                            if self.error.is_none() {
+                                self.error = Some(e);
+                            }
+                        }
                     }
                 }
             }
-            let mut pulsed = false;
-            for to in self.engine.drain_outgoing() {
-                ctx.send(to, pulse_payload());
-                pulsed = true;
-            }
-            if !pulsed && self.engine.take_delivered().is_empty() {
-                // Nothing new was produced; note take_delivered() above is
-                // empty unless a re-entrant decode happened, which cannot
-                // occur without new pulses.
-                break;
-            }
+        }
+        for to in self.engine.drain_outgoing() {
+            ctx.send(to, pulse_payload());
         }
     }
 }

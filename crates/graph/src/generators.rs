@@ -1,8 +1,8 @@
 //! Graph generators used by the examples, tests and the benchmark harness.
 //!
 //! All generators return deterministic graphs for fixed parameters (random
-//! generators take an explicit seed), so every experiment in EXPERIMENTS.md is
-//! reproducible.
+//! generators take an explicit seed), so every experiment table of the
+//! `fdn-bench` `report` binary and every `fdn-lab` campaign is reproducible.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;

@@ -22,8 +22,10 @@ pub struct Payload(Arc<[u8]>);
 
 impl Payload {
     /// Copies the bytes out into an owned `Vec`, one allocation per call.
-    /// Only transcripts and the [`crate::NoiseModel`] API, which still speak
-    /// `Vec<u8>`, need one; queueing and delivering a payload never copies.
+    /// Only transcripts and the allocating faces of the [`crate::NoiseModel`]
+    /// API (`corrupt`, `deliver`) need one. Queueing a payload never copies
+    /// it, and the simulation delivers through
+    /// [`crate::NoiseModel::deliver_into`] into one reused buffer.
     pub fn to_vec(&self) -> Vec<u8> {
         self.0.to_vec()
     }

@@ -24,8 +24,21 @@ pub enum SimError {
     /// transfers at least one bit (a pulse), and an empty payload could be
     /// confused with a deleted message.
     EmptyPayload { from: NodeId, to: NodeId },
+    /// The noise model delivered an empty payload on `from -> to`: a
+    /// delivered message carries at least one bit, an empty one could not be
+    /// told apart from a deleted message.
+    EmptyDelivery { from: NodeId, to: NodeId },
     /// The step limit was exhausted before the network reached quiescence.
     StepLimitExceeded { limit: u64 },
+    /// The network is quiescent but `delivered + dropped != sent`: a message
+    /// left the links without being delivered or dropped (e.g. the step that
+    /// popped it failed with [`SimError::EmptyDelivery`] and the run was
+    /// resumed).
+    AccountingMismatch {
+        sent: u64,
+        delivered: u64,
+        dropped: u64,
+    },
     /// An underlying graph error.
     Graph(GraphError),
 }
@@ -57,10 +70,23 @@ impl fmt::Display for SimError {
             SimError::EmptyPayload { from, to } => {
                 write!(f, "node {from} attempted to send an empty message to {to}")
             }
+            SimError::EmptyDelivery { from, to } => {
+                write!(f, "noise delivered an empty payload on link {from} -> {to}")
+            }
             SimError::StepLimitExceeded { limit } => {
                 write!(
                     f,
                     "step limit of {limit} deliveries exceeded before quiescence"
+                )
+            }
+            SimError::AccountingMismatch {
+                sent,
+                delivered,
+                dropped,
+            } => {
+                write!(
+                    f,
+                    "quiescent run lost messages: {sent} sent, {delivered} delivered, {dropped} dropped"
                 )
             }
             SimError::Graph(e) => write!(f, "graph error: {e}"),
@@ -110,7 +136,16 @@ mod tests {
                 from: NodeId(0),
                 to: NodeId(1),
             },
+            SimError::EmptyDelivery {
+                from: NodeId(1),
+                to: NodeId(2),
+            },
             SimError::StepLimitExceeded { limit: 100 },
+            SimError::AccountingMismatch {
+                sent: 3,
+                delivered: 1,
+                dropped: 1,
+            },
             SimError::Graph(GraphError::NotConnected),
         ];
         for e in errs {

@@ -4,16 +4,21 @@
 //! message `m ∈ {0,1}+` is sent, the receiver gets *some* `m' ∈ {0,1}+` — the
 //! content may be rewritten arbitrarily, but the message can neither be
 //! deleted nor can messages be injected. The alteration models here implement
-//! exactly that contract: [`NoiseModel::corrupt`] always returns a non-empty
-//! payload and is invoked exactly once per sent message.
+//! exactly that contract: they always deliver a non-empty payload, and the
+//! simulation consults them exactly once per sent message.
 //!
 //! A second group of models deliberately steps *outside* the paper's model to
 //! probe where the no-deletion assumption is load-bearing: [`Omission`],
-//! [`CrashLink`] and [`Burst`] may **delete** messages by overriding
-//! [`NoiseModel::deliver`]. Follow-up work (e.g. content-oblivious leader
-//! election under crash faults) asks exactly this boundary question; sweeping
-//! these adversaries in a campaign measures *where* the Theorem 2 construction
-//! breaks — expected loss of quiescence or success, never a panic or hang.
+//! [`CrashLink`] and [`Burst`] may **delete** messages. Follow-up work (e.g.
+//! content-oblivious leader election under crash faults) asks exactly this
+//! boundary question; sweeping these adversaries in a campaign measures
+//! *where* the Theorem 2 construction breaks — expected loss of quiescence or
+//! success, never a panic or hang.
+//!
+//! Every model here implements its channel action once, in
+//! [`NoiseModel::deliver_into`], which writes into a buffer the simulation
+//! reuses for every delivery; `corrupt` and `deliver` are allocating
+//! wrappers around it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,10 +45,49 @@ pub trait NoiseModel {
         Some(self.corrupt(env))
     }
 
+    /// [`deliver`](Self::deliver) into a caller-owned buffer: `true` hands
+    /// the receiver exactly the bytes left in `out` (whatever it held before
+    /// is gone), `false` deletes the message and leaves `out` unspecified.
+    /// [`crate::Simulation`] calls only this, with one buffer reused for
+    /// every delivery, so a model that overrides it delivers without
+    /// allocating. The default forwards to `deliver`, so a model written
+    /// against `corrupt`/`deliver` alone keeps working. A delivered payload
+    /// must be non-empty; the simulation rejects an empty one with
+    /// [`crate::SimError::EmptyDelivery`].
+    fn deliver_into(&mut self, env: &Envelope, out: &mut Vec<u8>) -> bool {
+        match self.deliver(env) {
+            Some(payload) => {
+                *out = payload;
+                true
+            }
+            None => false,
+        }
+    }
+
     /// A short human-readable name used in experiment reports.
     fn name(&self) -> &'static str {
         "noise"
     }
+}
+
+/// The allocating face of a model's `deliver_into`: runs it on a fresh
+/// buffer of `capacity` bytes. Sized for the payload the model writes, the
+/// buffer is allocated once and never grown, as a `to_vec` would.
+fn collect(capacity: usize, deliver_into: impl FnOnce(&mut Vec<u8>) -> bool) -> Option<Vec<u8>> {
+    let mut out = Vec::with_capacity(capacity);
+    deliver_into(&mut out).then_some(out)
+}
+
+/// `corrupt` of an alteration model, which never deletes.
+fn altered(capacity: usize, deliver_into: impl FnOnce(&mut Vec<u8>) -> bool) -> Vec<u8> {
+    collect(capacity, deliver_into).expect("alteration noise never deletes")
+}
+
+/// Delivers the sent payload unaltered.
+fn pass(env: &Envelope, out: &mut Vec<u8>) -> bool {
+    out.clear();
+    out.extend_from_slice(&env.payload);
+    true
 }
 
 /// The identity model: payloads are delivered untouched. Used for the
@@ -53,13 +97,20 @@ pub struct Noiseless;
 
 impl NoiseModel for Noiseless {
     fn corrupt(&mut self, env: &Envelope) -> Vec<u8> {
-        env.payload.to_vec()
+        altered(env.payload.len(), |out| self.deliver_into(env, out))
+    }
+
+    fn deliver_into(&mut self, env: &Envelope, out: &mut Vec<u8>) -> bool {
+        pass(env, out)
     }
 
     fn name(&self) -> &'static str {
         "noiseless"
     }
 }
+
+/// Longest payload [`FullCorruption`] delivers.
+const FULL_CORRUPTION_MAX_LEN: usize = 8;
 
 /// Total corruption: every payload is replaced by random bytes of random
 /// length (1..=8), irrespective of what was sent. This is the default model
@@ -80,9 +131,15 @@ impl FullCorruption {
 }
 
 impl NoiseModel for FullCorruption {
-    fn corrupt(&mut self, _env: &Envelope) -> Vec<u8> {
-        let len = self.rng.gen_range(1..=8usize);
-        (0..len).map(|_| self.rng.gen()).collect()
+    fn corrupt(&mut self, env: &Envelope) -> Vec<u8> {
+        altered(FULL_CORRUPTION_MAX_LEN, |out| self.deliver_into(env, out))
+    }
+
+    fn deliver_into(&mut self, _env: &Envelope, out: &mut Vec<u8>) -> bool {
+        let len = self.rng.gen_range(1..=FULL_CORRUPTION_MAX_LEN);
+        out.clear();
+        out.extend((0..len).map(|_| self.rng.gen::<u8>()));
+        true
     }
 
     fn name(&self) -> &'static str {
@@ -97,8 +154,14 @@ impl NoiseModel for FullCorruption {
 pub struct ConstantOne;
 
 impl NoiseModel for ConstantOne {
-    fn corrupt(&mut self, _env: &Envelope) -> Vec<u8> {
-        vec![1]
+    fn corrupt(&mut self, env: &Envelope) -> Vec<u8> {
+        altered(1, |out| self.deliver_into(env, out))
+    }
+
+    fn deliver_into(&mut self, _env: &Envelope, out: &mut Vec<u8>) -> bool {
+        out.clear();
+        out.push(1);
+        true
     }
 
     fn name(&self) -> &'static str {
@@ -138,15 +201,19 @@ impl BitFlip {
 
 impl NoiseModel for BitFlip {
     fn corrupt(&mut self, env: &Envelope) -> Vec<u8> {
-        let mut out = env.payload.to_vec();
-        for byte in &mut out {
+        altered(env.payload.len(), |out| self.deliver_into(env, out))
+    }
+
+    fn deliver_into(&mut self, env: &Envelope, out: &mut Vec<u8>) -> bool {
+        pass(env, out);
+        for byte in out.iter_mut() {
             for bit in 0..8 {
                 if self.rng.gen_bool(self.p) {
                     *byte ^= 1 << bit;
                 }
             }
         }
-        out
+        true
     }
 
     fn name(&self) -> &'static str {
@@ -183,12 +250,16 @@ impl<N: NoiseModel> NoiseModel for TargetedEdges<N> {
     }
 
     fn deliver(&mut self, env: &Envelope) -> Option<Vec<u8>> {
+        collect(env.payload.len(), |out| self.deliver_into(env, out))
+    }
+
+    fn deliver_into(&mut self, env: &Envelope, out: &mut Vec<u8>) -> bool {
         // Forward the full channel action, so a deletion-side inner model
         // (e.g. `Omission` on a single bridge) keeps its ability to drop.
         if self.edges.contains(&Edge::new(env.from, env.to)) {
-            self.inner.deliver(env)
+            self.inner.deliver_into(env, out)
         } else {
-            Some(env.payload.to_vec())
+            pass(env, out)
         }
     }
 
@@ -271,13 +342,13 @@ impl NoiseModel for Omission {
     }
 
     fn deliver(&mut self, env: &Envelope) -> Option<Vec<u8>> {
+        collect(env.payload.len(), |out| self.deliver_into(env, out))
+    }
+
+    fn deliver_into(&mut self, env: &Envelope, out: &mut Vec<u8>) -> bool {
         // One rate-independent uniform draw per delivery (see the type docs:
         // this is what couples equal-seed models across rates).
-        if self.rng.gen_range(0..OMISSION_DENOM) < self.drop_ppm {
-            None
-        } else {
-            Some(env.payload.to_vec())
-        }
+        self.rng.gen_range(0..OMISSION_DENOM) >= self.drop_ppm && pass(env, out)
     }
 
     fn name(&self) -> &'static str {
@@ -321,16 +392,16 @@ impl NoiseModel for CrashLink {
     }
 
     fn deliver(&mut self, env: &Envelope) -> Option<Vec<u8>> {
+        collect(env.payload.len(), |out| self.deliver_into(env, out))
+    }
+
+    fn deliver_into(&mut self, env: &Envelope, out: &mut Vec<u8>) -> bool {
         let edge = Edge::new(env.from, env.to);
         if self.crashed.is_none() && self.seen == self.at_pulse {
             self.crashed = Some(edge);
         }
         self.seen += 1;
-        if self.crashed == Some(edge) {
-            None
-        } else {
-            Some(env.payload.to_vec())
-        }
+        self.crashed != Some(edge) && pass(env, out)
     }
 
     fn name(&self) -> &'static str {
@@ -373,13 +444,13 @@ impl NoiseModel for Burst {
     }
 
     fn deliver(&mut self, env: &Envelope) -> Option<Vec<u8>> {
+        collect(env.payload.len(), |out| self.deliver_into(env, out))
+    }
+
+    fn deliver_into(&mut self, env: &Envelope, out: &mut Vec<u8>) -> bool {
         let phase = self.seen % self.period;
         self.seen += 1;
-        if phase < self.len {
-            None
-        } else {
-            Some(env.payload.to_vec())
-        }
+        phase >= self.len && pass(env, out)
     }
 
     fn name(&self) -> &'static str {
@@ -613,6 +684,47 @@ mod tests {
         };
         assert_eq!(n.corrupt(&other), vec![5, 6]);
         assert_eq!(n.name(), "targeted-edges");
+    }
+
+    #[test]
+    fn deliver_into_a_dirty_reused_buffer_matches_deliver() {
+        use crate::NoiseSpec;
+        // Varying payload lengths and links, so a model that appends without
+        // clearing, or keeps a stale tail, shows up as a payload mismatch.
+        let envelopes: Vec<Envelope> = (0..1000u32)
+            .map(|i| Envelope {
+                from: NodeId(i % 5),
+                to: NodeId((i + 1 + i / 5 % 2) % 5),
+                payload: vec![i as u8; 1 + (i % 7) as usize].into(),
+                seq: u64::from(i),
+            })
+            .collect();
+        let specs = NoiseSpec::BASIC
+            .into_iter()
+            .chain([NoiseSpec::BitFlip { p: 0.1 }])
+            .chain(NoiseSpec::DELETION);
+        for spec in specs {
+            for seed in [1, 2, 3] {
+                let mut model = spec.build(seed);
+                let mut twin = spec.build(seed);
+                let mut out = vec![0xEE; 32];
+                let mut drops = 0;
+                for e in &envelopes {
+                    let kept = model.deliver_into(e, &mut out);
+                    match twin.deliver(e) {
+                        Some(expected) => {
+                            assert!(kept, "{spec} seed {seed}: dropped, twin delivered");
+                            assert_eq!(out, expected, "{spec} seed {seed}, seq {}", e.seq);
+                        }
+                        None => {
+                            assert!(!kept, "{spec} seed {seed}: delivered, twin dropped");
+                            drops += 1;
+                        }
+                    }
+                }
+                assert_eq!(drops > 0, spec.deletes(), "{spec} seed {seed}: {drops}");
+            }
+        }
     }
 
     #[test]

@@ -46,6 +46,9 @@ pub struct Simulation<R, O = NullObserver> {
     /// The one send buffer, lent to every event's [`Context`] and handed
     /// back empty (see [`Simulation::drain_context`]).
     outbox: Outbox,
+    /// The one delivery buffer the noise model writes into, reused by every
+    /// step.
+    delivery: Vec<u8>,
     next_seq: u64,
     steps: u64,
     max_steps: u64,
@@ -79,6 +82,7 @@ impl<R: Reactor> Simulation<R> {
             transcript: None,
             observer: NullObserver,
             outbox: Vec::new(),
+            delivery: Vec::new(),
             next_seq: 0,
             steps: 0,
             max_steps: DEFAULT_MAX_STEPS,
@@ -138,6 +142,7 @@ impl<R: Reactor> Simulation<R> {
             transcript: None,
             observer: NullObserver,
             outbox: Vec::new(),
+            delivery: Vec::new(),
             next_seq: 0,
             steps: 0,
             max_steps: DEFAULT_MAX_STEPS,
@@ -171,6 +176,7 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
             transcript: self.transcript,
             observer,
             outbox: self.outbox,
+            delivery: self.delivery,
             next_seq: self.next_seq,
             steps: self.steps,
             max_steps: self.max_steps,
@@ -329,7 +335,9 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
     ///
     /// # Errors
     ///
-    /// Returns an error if the receiving reactor emits an invalid message.
+    /// Returns [`SimError::EmptyDelivery`] if the noise model delivers an
+    /// empty payload (the message is then neither delivered nor dropped), or
+    /// an error if the receiving reactor emits an invalid message.
     ///
     /// # Panics
     ///
@@ -348,7 +356,7 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
             .pop(link)
             .expect("scheduler chose an empty or unknown link");
         self.steps += 1;
-        let Some(delivered_payload) = self.noise.deliver(&env) else {
+        if !self.noise.deliver_into(&env, &mut self.delivery) {
             // Deleted in transit: the receiver never observes anything, so no
             // reactor runs. The step still counts towards the step limit —
             // that is what lets run_to_quiescence absorb delete-everything
@@ -364,16 +372,18 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
                 });
             }
             return Ok(true);
-        };
-        debug_assert!(
-            !delivered_payload.is_empty(),
-            "noise must not deliver empty payloads"
-        );
+        }
+        if self.delivery.is_empty() {
+            return Err(SimError::EmptyDelivery {
+                from: env.from,
+                to: env.to,
+            });
+        }
         self.stats.record_delivery();
         self.observer.on_deliver(
             env.from,
             env.to,
-            (delivered_payload.len() * 8) as u64,
+            (self.delivery.len() * 8) as u64,
             self.stats.delivered_total,
             self.links.total(),
         );
@@ -381,12 +391,16 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
             t.push(TranscriptEvent::Delivered {
                 from: env.from,
                 to: env.to,
-                payload: delivered_payload.clone(),
+                payload: self.delivery.clone(),
             });
         }
-        self.with_node_mut(env.to, |node, ctx| {
-            node.on_message(env.from, &delivered_payload, ctx);
-        })?;
+        // Lent to the reactor for this event, then kept for the next one.
+        let payload = std::mem::take(&mut self.delivery);
+        let ran = self.with_node_mut(env.to, |node, ctx| {
+            node.on_message(env.from, &payload, ctx);
+        });
+        self.delivery = payload;
+        ran?;
         Ok(true)
     }
 
@@ -394,8 +408,10 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::StepLimitExceeded`] if the limit is hit, or any
-    /// error surfaced by [`step`](Self::step).
+    /// Returns [`SimError::StepLimitExceeded`] if the limit is hit,
+    /// [`SimError::AccountingMismatch`] if the network drained with a message
+    /// neither delivered nor dropped, or any error surfaced by
+    /// [`step`](Self::step).
     pub fn run_to_quiescence(&mut self) -> Result<RunReport, SimError> {
         if !self.started {
             self.start()?;
@@ -411,13 +427,16 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
         }
         // Delivery-accounting invariant at quiescence: with no message left
         // in flight, every send was either delivered or dropped — strict
-        // equality, not `<=` (a leak here means the link core lost an
-        // envelope).
-        debug_assert_eq!(
-            self.stats.delivered_total + self.stats.dropped_total,
-            self.stats.sent_total,
-            "quiescent run leaked in-flight messages"
-        );
+        // equality, not `<=` (a leak here means an envelope left the links
+        // unaccounted).
+        let s = &self.stats;
+        if s.delivered_total + s.dropped_total != s.sent_total {
+            return Err(SimError::AccountingMismatch {
+                sent: s.sent_total,
+                delivered: s.delivered_total,
+                dropped: s.dropped_total,
+            });
+        }
         Ok(RunReport {
             steps: self.steps - start_steps,
             quiescent: true,
@@ -520,7 +539,6 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
             seq: self.next_seq,
         };
         self.next_seq += 1;
-        self.stats.record_send(&env);
         if let Some(t) = &mut self.transcript {
             t.push(TranscriptEvent::Sent {
                 from: env.from,
@@ -531,7 +549,7 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
         let bits = env.bits();
         let depth = self.links.push_on(link, env);
         self.stats
-            .record_queue_depth(from, to, depth as u64, self.links.total() as u64);
+            .record_enqueue(from, to, bits, depth as u64, self.links.total() as u64);
         if depth == 1 {
             self.observer.on_link_activation(link, from, to);
         }
@@ -728,6 +746,63 @@ mod tests {
         let s = sim.stats();
         assert!(s.delivered_total + s.dropped_total < s.sent_total);
         assert!(!sim.is_quiescent());
+    }
+
+    /// A hostile noise model: delivers an empty payload on its `nth`
+    /// delivery and passes everything else unaltered.
+    struct EmptyOnce {
+        nth: u64,
+        seen: u64,
+    }
+
+    impl NoiseModel for EmptyOnce {
+        fn corrupt(&mut self, env: &Envelope) -> Vec<u8> {
+            env.payload.to_vec()
+        }
+
+        fn deliver_into(&mut self, env: &Envelope, out: &mut Vec<u8>) -> bool {
+            self.seen += 1;
+            out.clear();
+            if self.seen != self.nth {
+                out.extend_from_slice(&env.payload);
+            }
+            true
+        }
+    }
+
+    #[test]
+    fn an_empty_delivery_is_a_typed_error() {
+        let mut sim = ring_sim(5).with_noise(EmptyOnce { nth: 2, seen: 0 });
+        assert_eq!(
+            sim.run(),
+            Err(SimError::EmptyDelivery {
+                from: NodeId(1),
+                to: NodeId(2)
+            })
+        );
+        // The receiver never ran and the message counts as neither
+        // delivered nor dropped.
+        assert_eq!(sim.node(NodeId(2)).output(), None);
+        assert_eq!(sim.stats().delivered_total, 1);
+        assert_eq!(sim.stats().dropped_total, 0);
+    }
+
+    #[test]
+    fn a_resumed_run_that_lost_a_message_fails_the_quiescent_accounting() {
+        // The step that popped the empty delivery failed, so the message
+        // left the links unaccounted; draining the network afterwards must
+        // report the imbalance instead of claiming a clean quiescence.
+        let mut sim = ring_sim(5).with_noise(EmptyOnce { nth: 2, seen: 0 });
+        assert!(matches!(sim.run(), Err(SimError::EmptyDelivery { .. })));
+        assert!(sim.is_quiescent());
+        assert_eq!(
+            sim.run_to_quiescence(),
+            Err(SimError::AccountingMismatch {
+                sent: 2,
+                delivered: 1,
+                dropped: 0
+            })
+        );
     }
 
     #[test]

@@ -22,6 +22,13 @@ struct LinkCounts {
     high_water: Option<u64>,
 }
 
+impl LinkCounts {
+    /// Raises the high-water mark to `depth`.
+    fn mark_depth(&mut self, depth: u64) {
+        self.high_water = Some(self.high_water.map_or(depth, |mark| mark.max(depth)));
+    }
+}
+
 /// Counters maintained by a [`crate::Simulation`].
 ///
 /// The per-link counters live in one row per sending node, sorted by
@@ -77,12 +84,22 @@ impl Stats {
 
     /// Records a send.
     pub fn record_send(&mut self, env: &Envelope) {
-        self.sent_total += 1;
-        self.bits_sent += env.bits();
-        self.link_mut(env.from, env.to).sent += 1;
-        if let Some(slot) = self.per_node_sent.get_mut(env.from.index()) {
-            *slot += 1;
-        }
+        self.count_send(env.from, env.to, env.bits());
+    }
+
+    /// [`record_send`](Self::record_send) of a `bits`-long message on
+    /// `from -> to` plus [`record_queue_depth`](Self::record_queue_depth)
+    /// of the enqueue that followed, with one lookup of the link's counters.
+    pub(crate) fn record_enqueue(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        bits: u64,
+        link_depth: u64,
+        total_inflight: u64,
+    ) {
+        self.max_inflight = self.max_inflight.max(total_inflight);
+        self.count_send(from, to, bits).mark_depth(link_depth);
     }
 
     /// Records a delivery.
@@ -106,8 +123,7 @@ impl Stats {
         total_inflight: u64,
     ) {
         self.max_inflight = self.max_inflight.max(total_inflight);
-        let hw = &mut self.link_mut(from, to).high_water;
-        *hw = Some(hw.map_or(link_depth, |mark| mark.max(link_depth)));
+        self.link_mut(from, to).mark_depth(link_depth);
     }
 
     /// Messages sent by a specific node.
@@ -159,6 +175,18 @@ impl Stats {
             per_edge_sent,
             per_link_high_water,
         }
+    }
+
+    /// Counts one send in every total and returns its link's counters.
+    fn count_send(&mut self, from: NodeId, to: NodeId, bits: u64) -> &mut LinkCounts {
+        self.sent_total += 1;
+        self.bits_sent += bits;
+        if let Some(slot) = self.per_node_sent.get_mut(from.index()) {
+            *slot += 1;
+        }
+        let link = self.link_mut(from, to);
+        link.sent += 1;
+        link
     }
 
     fn row(&self, from: NodeId) -> usize {
@@ -434,6 +462,31 @@ mod tests {
                     assert_eq!(stats.sent_on_edge(e), expected, "seed {seed}, {e:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn record_enqueue_equals_the_public_pair() {
+        // The simulation's one-lookup send record must leave exactly the
+        // counters of `record_send` followed by `record_queue_depth`,
+        // including for sender ids past `n`.
+        const N: u32 = 5;
+        let ids: Vec<NodeId> = (0..N + 2).chain([u32::MAX]).map(NodeId).collect();
+        for seed in 0..10u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut fused = Stats::new(N as usize);
+            let mut pair = Stats::new(N as usize);
+            for _ in 0..200 {
+                let from = ids[rng.gen_range(0..ids.len())];
+                let to = ids[rng.gen_range(0..ids.len())];
+                let e = env(from.0, to.0, rng.gen_range(1..4usize));
+                let depth = rng.gen_range(1..6u64);
+                let inflight = depth + rng.gen_range(0..4u64);
+                fused.record_enqueue(from, to, e.bits(), depth, inflight);
+                pair.record_send(&e);
+                pair.record_queue_depth(from, to, depth, inflight);
+            }
+            assert_eq!(fused, pair, "seed {seed}");
         }
     }
 

@@ -113,12 +113,14 @@ pub trait Rng: RngCore {
             // Full-width inclusive range.
             return T::from_u64(self.next_u64());
         }
-        // Debiased multiply-shift rejection sampling (Lemire).
+        // Debiased multiply-shift rejection sampling (Lemire). The rejection
+        // threshold `2^64 mod span` is below `span`, so the division that
+        // computes it only runs when `low < span`, i.e. rarely.
         loop {
             let x = self.next_u64();
             let m = (x as u128) * (span as u128);
             let low = m as u64;
-            if low >= span.wrapping_neg() % span {
+            if low >= span || low >= span.wrapping_neg() % span {
                 return T::from_u64(lo + (m >> 64) as u64);
             }
         }
@@ -202,7 +204,7 @@ pub mod prelude {
 mod tests {
     use super::rngs::StdRng;
     use super::seq::SliceRandom;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn deterministic_per_seed() {
@@ -226,6 +228,31 @@ mod tests {
         }
         // Degenerate singleton range.
         assert_eq!(rng.gen_range(4u64..=4), 4);
+    }
+
+    #[test]
+    fn gen_range_matches_the_always_divide_formula() {
+        /// The sampler before the threshold test was made lazy: it computes
+        /// `2^64 mod span` on every draw.
+        fn oracle(rng: &mut StdRng, lo: u64, span: u64) -> u64 {
+            loop {
+                let m = (rng.next_u64() as u128) * (span as u128);
+                if m as u64 >= span.wrapping_neg() % span {
+                    return lo + (m >> 64) as u64;
+                }
+            }
+        }
+        let spans = (1..=1000u64).chain([(1 << 32) + 7, (1 << 63) + 1]);
+        for span in spans {
+            let mut fast = StdRng::seed_from_u64(span);
+            let mut slow = fast.clone();
+            for _ in 0..64 {
+                let got: u64 = fast.gen_range(5..5 + span);
+                assert_eq!(got, oracle(&mut slow, 5, span), "span {span}");
+            }
+            // Both consumed the same words, rejections included.
+            assert_eq!(fast, slow, "span {span}");
+        }
     }
 
     #[test]
