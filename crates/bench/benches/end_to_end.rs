@@ -95,8 +95,9 @@ fn bench_baseline_memo(c: &mut Criterion) {
 /// [`Payload`] across the enqueues (one allocation, per-neighbour `Arc`
 /// clones) or handing each enqueue its own `Vec` copy; every other node is
 /// a sink. The round-trip through the engine is identical, so the gap
-/// between the two series is exactly the serialize-once win a pulse
-/// broadcast gets for free.
+/// between the two series is exactly the serialize-once win a multi-byte
+/// broadcast gets. A one-byte payload is stored inline, so at `1B` the
+/// shared series allocates nothing and the per-copy one only its `Vec`s.
 struct Fanout {
     size: usize,
     shared: bool,

@@ -28,7 +28,7 @@ use fdn_graph::cycle::LocalCycleView;
 use fdn_graph::{connectivity, Graph, NodeId, RobbinsCycle};
 use fdn_netsim::{Context, Reactor};
 
-use crate::control::ControlMsg;
+use crate::control::{ids_fit_bytes, push_ids, ControlMsg};
 use crate::encoding::Encoding;
 use crate::engine::RobbinsEngine;
 use crate::error::CoreError;
@@ -964,8 +964,20 @@ impl Reactor for ConstructionSimulator {
         self.inner
             .cycle()
             .filter(|_| self.inner.is_done())
-            .map(|c| c.seq().iter().map(|v| v.0 as u8).collect())
+            .map(cycle_output)
     }
+}
+
+/// A finished node's output: the Robbins cycle's id sequence, one byte per
+/// id when every id fits a byte and a u16 little-endian per id otherwise
+/// (the control messages' id encoding). The cycle visits every node, so the
+/// output is wide exactly when the graph has more than 256 nodes.
+fn cycle_output(cycle: &RobbinsCycle) -> Vec<u8> {
+    let ids = cycle.seq();
+    let wide = !ids_fit_bytes(ids);
+    let mut out = Vec::new();
+    push_ids(&mut out, ids, wide);
+    out
 }
 
 /// Builds one [`ConstructionSimulator`] per node of the graph, with
@@ -1001,4 +1013,24 @@ pub fn construction_simulators(
             )
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::control::parse_ids;
+
+    fn cycle(ids: &[u32]) -> RobbinsCycle {
+        RobbinsCycle::new(ids.iter().map(|&v| NodeId(v)).collect()).unwrap()
+    }
+
+    #[test]
+    fn cycle_output_round_trips_narrow_and_wide_ids() {
+        let narrow = cycle(&[0, 7, 255]);
+        assert_eq!(cycle_output(&narrow), vec![0, 7, 255]);
+        let wide = cycle(&[0, 256, 65_534, 3]);
+        let out = cycle_output(&wide);
+        assert_eq!(out.len(), 8, "a u16 per id, none truncated");
+        assert_eq!(parse_ids(&out, true).unwrap(), wide.seq());
+    }
 }

@@ -50,11 +50,11 @@ const TAG_COMPLETED: u8 = 9;
 /// lengths — are byte-identical to what they were before large-n support.
 const WIDE: u8 = 0x80;
 
-fn ids_fit_bytes(ids: &[NodeId]) -> bool {
+pub(crate) fn ids_fit_bytes(ids: &[NodeId]) -> bool {
     ids.iter().all(|id| id.0 <= u8::MAX as u32)
 }
 
-fn push_ids(out: &mut Vec<u8>, ids: &[NodeId], wide: bool) {
+pub(crate) fn push_ids(out: &mut Vec<u8>, ids: &[NodeId], wide: bool) {
     for id in ids {
         if wide {
             debug_assert!(id.0 <= u16::MAX as u32);
@@ -66,7 +66,7 @@ fn push_ids(out: &mut Vec<u8>, ids: &[NodeId], wide: bool) {
     }
 }
 
-fn parse_ids(bytes: &[u8], wide: bool) -> Result<Vec<NodeId>, CoreError> {
+pub(crate) fn parse_ids(bytes: &[u8], wide: bool) -> Result<Vec<NodeId>, CoreError> {
     if !wide {
         return Ok(bytes.iter().map(|&b| NodeId(u32::from(b))).collect());
     }

@@ -8,8 +8,6 @@
 //! Theorem 2 compiler, which first *constructs* the Robbins cycle, lives in
 //! [`crate::full`].
 
-use std::sync::OnceLock;
-
 use fdn_graph::cycle::LocalCycleView;
 use fdn_graph::{connectivity, Graph, NodeId, RobbinsCycle};
 use fdn_netsim::{Context, InnerProtocol, Payload, ProtocolIo, Reactor};
@@ -24,13 +22,11 @@ use crate::wire::WireMessage;
 /// delete messages.
 pub const PULSE: [u8; 1] = [0];
 
-/// The [`PULSE`] as a shared [`Payload`]: serialized once per process, cloned
-/// (an `Arc` bump) per send. Every pulse the simulators emit goes through
-/// this single allocation, which is also what lets the counting link backend
-/// classify pulse runs by pointer identity instead of comparing bytes.
+/// The [`PULSE`] as a [`Payload`]. A one-byte payload is stored inline, so
+/// building one per send allocates nothing and touches no shared refcount:
+/// simulations on different threads never write to a common cache line.
 pub fn pulse_payload() -> Payload {
-    static SHARED: OnceLock<Payload> = OnceLock::new();
-    SHARED.get_or_init(|| PULSE.to_vec().into()).clone()
+    Payload::byte(PULSE[0])
 }
 
 /// One node of the cycle simulator: an inner protocol `π` plus the

@@ -2,10 +2,11 @@
 //! content-oblivious pulse traffic.
 //!
 //! A *run* is a maximal block of queued messages on one link that share a
-//! payload (classified in `O(1)` by [`crate::Payload`] pointer identity, with
-//! a byte-compare fallback) and whose sequence numbers advance by a constant
-//! stride — exactly the shape a pulse broadcast produces, where one drain of
-//! a node's outbox hands consecutive global seqs to its outgoing links. A
+//! payload (compared with [`crate::Payload`]'s `!=`: a one-byte pulse is an
+//! inline byte, a longer payload a shared pointer checked before its bytes)
+//! and whose sequence numbers advance by a constant stride — exactly the
+//! shape a pulse broadcast produces, where one drain of a node's outbox
+//! hands consecutive global seqs to its outgoing links. A
 //! run stores `(payload, first_seq, stride, count)`; a link carrying a
 //! million such pulses costs one run and delivery is a decrement that
 //! reconstructs each envelope's exact `seq` arithmetically.
