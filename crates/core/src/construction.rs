@@ -270,34 +270,22 @@ impl ConstructionNode {
         if self.error.is_some() {
             return;
         }
-        if !self.neighbors.contains(&from) {
-            self.fail(format!("pulse from non-neighbour {from}"));
-            return;
-        }
         // Route: pulses on edges of the currently-active cycle go to the
-        // corresponding engine; everything else is a DFS / coordination pulse.
-        let ear_active = matches!(self.phase, Phase::Cycle(CycleStage::EarLearnId))
-            && self.ear.as_ref().is_some_and(|e| e.is_cycle_neighbor(from));
-        if ear_active {
-            if let Some(e) = &mut self.ear {
-                e.on_pulse(from);
+        // corresponding engine (the ear's first, while its learn-ID runs);
+        // everything else is a DFS / coordination pulse. An engine takes a
+        // pulse only from its own cycle neighbours, which are all graph
+        // neighbours, so only the unrouted rest needs the neighbour check.
+        let ear_active = matches!(self.phase, Phase::Cycle(CycleStage::EarLearnId));
+        let main_active = !matches!(self.phase, Phase::Dfs);
+        let routed = (ear_active && self.ear.as_mut().is_some_and(|e| e.try_pulse(from)))
+            || (main_active && self.main.as_mut().is_some_and(|e| e.try_pulse(from)));
+        if !routed {
+            if !self.neighbors.contains(&from) {
+                self.fail(format!("pulse from non-neighbour {from}"));
+                return;
             }
-            self.pump();
-            return;
+            self.handle_noncycle_pulse(from);
         }
-        let main_active = self
-            .main
-            .as_ref()
-            .is_some_and(|e| e.is_cycle_neighbor(from))
-            && !matches!(self.phase, Phase::Dfs);
-        if main_active {
-            if let Some(e) = &mut self.main {
-                e.on_pulse(from);
-            }
-            self.pump();
-            return;
-        }
-        self.handle_noncycle_pulse(from);
         self.pump();
     }
 
@@ -370,11 +358,10 @@ impl ConstructionNode {
     fn next_delivery(&mut self) -> Option<WireMessage> {
         loop {
             if self.stash.is_empty() {
-                if let Some(e) = &mut self.ear {
-                    self.stash.extend(e.take_delivered());
-                }
-                if let Some(e) = &mut self.main {
-                    self.stash.extend(e.take_delivered());
+                for engine in [&mut self.ear, &mut self.main].into_iter().flatten() {
+                    if engine.has_delivered() {
+                        self.stash.extend(engine.take_delivered());
+                    }
                 }
             }
             if self.stash.is_empty() {
@@ -390,7 +377,8 @@ impl ConstructionNode {
     }
 
     /// Drains engine output and processes decoded control messages until no
-    /// further progress is possible.
+    /// further progress is possible. Taking decoded messages moves no
+    /// engine, so once none is left the last drain was complete.
     fn pump(&mut self) {
         loop {
             self.drain_engine_outgoing();
@@ -398,7 +386,6 @@ impl ConstructionNode {
                 return;
             }
             let Some(msg) = self.next_delivery() else {
-                self.drain_engine_outgoing();
                 return;
             };
             self.handle_delivery(msg);

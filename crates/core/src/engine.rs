@@ -109,8 +109,9 @@ struct Circulation {
     /// Clockwise: the occurrence whose `next` was last sent to (counting up).
     /// Counterclockwise: counting down from `k - 1`.
     step: usize,
-    /// The neighbour the engine is waiting to hear the pulse back from.
-    awaiting: NodeId,
+    /// The `neighbors` slot of the neighbour the engine is waiting to hear
+    /// the pulse back from.
+    awaiting: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -132,11 +133,12 @@ struct UnaryReceiver {
     end_occ: Option<usize>,
 }
 
+/// The binary receiver's cursors; the bits it records go to the engine's
+/// reused `bits` buffer.
 #[derive(Debug, Clone)]
 struct BinaryReceiver {
     cw_occ: usize,
     ccw_occ: usize,
-    bits: Vec<bool>,
     zero_run: usize,
     terminal: bool,
 }
@@ -164,6 +166,15 @@ struct CycleNeighbor {
     owed: usize,
 }
 
+/// The `neighbors` slots of one occurrence's `prev` and `next`: the wait
+/// points of occurrence `i` read `neighbors[slots[i].prev]` instead of
+/// searching for `view.prev(i)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OccurrenceSlots {
+    prev: usize,
+    next: usize,
+}
+
 /// The per-node engine of the content-oblivious cycle simulator.
 ///
 /// Feed it pulse arrivals with [`on_pulse`](Self::on_pulse) and simulated
@@ -181,12 +192,19 @@ pub struct RobbinsEngine {
     view: LocalCycleView,
     /// The cycle neighbours, sorted by id.
     neighbors: Vec<CycleNeighbor>,
+    /// Per occurrence, the slots of its `prev` and `next` in `neighbors`,
+    /// rotated together with `view` so that `slots[i]` always belongs to
+    /// occurrence `i`.
+    slots: Vec<OccurrenceSlots>,
     is_token_holder: bool,
     encoding: Encoding,
     queue: VecDeque<WireMessage>,
     state: State,
     outgoing: Vec<PulseTo>,
     delivered: Vec<WireMessage>,
+    /// The frame bits the binary receiver records in the current epoch:
+    /// cleared at each epoch's first DATA pulse, so its capacity is reused.
+    bits: Vec<bool>,
     pulses_sent: u64,
     pulses_received: u64,
     epochs_completed: u64,
@@ -242,16 +260,32 @@ impl RobbinsEngine {
                 }
             }
         }
+        // Every id is in `neighbors` now, so the searches cannot miss.
+        let slot = |id: NodeId| {
+            neighbors
+                .binary_search_by_key(&id, |n| n.id)
+                .expect("every occurrence neighbour is registered")
+        };
+        let slots = view
+            .occurrences()
+            .iter()
+            .map(|occ| OccurrenceSlots {
+                prev: slot(occ.prev),
+                next: slot(occ.next),
+            })
+            .collect();
         Ok(RobbinsEngine {
             node,
             view,
             neighbors,
+            slots,
             is_token_holder,
             encoding,
             queue: VecDeque::new(),
             state: State::AwaitTrigger,
             outgoing: Vec::new(),
             delivered: Vec::new(),
+            bits: Vec::new(),
             pulses_sent: 0,
             pulses_received: 0,
             epochs_completed: 0,
@@ -351,12 +385,6 @@ impl RobbinsEngine {
         self.error.as_ref()
     }
 
-    /// Whether `other` is one of this node's neighbours on the cycle (pulses
-    /// from any other node do not belong to this engine).
-    pub fn is_cycle_neighbor(&self, other: NodeId) -> bool {
-        self.neighbor(other).is_some()
-    }
-
     /// Enqueues a simulated message emitted by the inner protocol `π`
     /// (Algorithm 3, "Handling messages sent by π").
     ///
@@ -383,18 +411,30 @@ impl RobbinsEngine {
 
     /// Records the arrival of a pulse from neighbour `from` and advances the
     /// state machine. Pulse content is ignored — the engine is
-    /// content-oblivious by construction.
+    /// content-oblivious by construction. A pulse from a node that is not a
+    /// cycle neighbour latches an error.
     pub fn on_pulse(&mut self, from: NodeId) {
-        let Some(i) = self.neighbor(from) else {
+        if !self.try_pulse(from) {
             self.fail(format!(
                 "pulse from {from}, which is not a cycle neighbour of {}",
                 self.node
             ));
-            return;
+        }
+    }
+
+    /// [`on_pulse`](Self::on_pulse) for a pulse that may belong elsewhere:
+    /// if `from` is a cycle neighbour, records the pulse, advances the state
+    /// machine and returns true; otherwise the pulse does not belong to this
+    /// engine, which is left untouched, and the result is false. One lookup
+    /// both routes the pulse and records it.
+    pub fn try_pulse(&mut self, from: NodeId) -> bool {
+        let Some(i) = self.neighbor(from) else {
+            return false;
         };
         self.pulses_received += 1;
         self.neighbors[i].pending += 1;
         self.progress();
+        true
     }
 
     /// Drains the pulses the engine wants to send (in order). The buffer
@@ -408,6 +448,12 @@ impl RobbinsEngine {
     /// (Algorithm 3(b) line 40).
     pub fn take_delivered(&mut self) -> Vec<WireMessage> {
         std::mem::take(&mut self.delivered)
+    }
+
+    /// Whether a message was decoded since the last
+    /// [`take_delivered`](Self::take_delivered).
+    pub fn has_delivered(&self) -> bool {
+        !self.delivered.is_empty()
     }
 
     // ---------------------------------------------------------------------
@@ -434,27 +480,29 @@ impl RobbinsEngine {
         self.neighbors.binary_search_by_key(&id, |n| n.id).ok()
     }
 
-    fn pending_count(&self, from: NodeId) -> usize {
-        self.neighbor(from).map_or(0, |i| self.neighbors[i].pending)
-    }
-
-    /// First pending neighbour (in id order) whose pulses travel in `dir`.
-    fn pending_in_dir(&self, dir: CycleDirection) -> Option<NodeId> {
+    /// Slot of the first pending neighbour (in id order) whose pulses
+    /// travel in `dir`.
+    fn pending_in_dir(&self, dir: CycleDirection) -> Option<usize> {
         self.neighbors
             .iter()
-            .find(|n| n.pending > 0 && n.dir == dir)
-            .map(|n| n.id)
+            .position(|n| n.pending > 0 && n.dir == dir)
     }
 
-    /// Consumes one pending pulse from `from`; returns false if none pending.
-    fn consume_from(&mut self, from: NodeId) -> bool {
-        match self.neighbor(from) {
-            Some(i) if self.neighbors[i].pending > 0 => {
-                self.neighbors[i].pending -= 1;
-                true
-            }
-            _ => false,
+    /// Consumes one pending pulse from the neighbour in `slot`; returns
+    /// false if none is pending.
+    fn consume(&mut self, slot: usize) -> bool {
+        let n = &mut self.neighbors[slot];
+        if n.pending == 0 {
+            return false;
         }
+        n.pending -= 1;
+        true
+    }
+
+    /// Algorithm 3's `RotateEdges()`, applied to the view and its slots.
+    fn rotate_edges(&mut self) {
+        self.view.rotate_edges();
+        self.slots.rotate_right(1);
     }
 
     fn complete_epoch(&mut self) {
@@ -519,7 +567,7 @@ impl RobbinsEngine {
                 Circulation {
                     dir,
                     step: 0,
-                    awaiting: self.view.prev(1 % k),
+                    awaiting: self.slots[1 % k].prev,
                 }
             }
             CycleDirection::Counterclockwise => {
@@ -530,7 +578,7 @@ impl RobbinsEngine {
                 Circulation {
                     dir,
                     step: k - 1,
-                    awaiting: self.view.next(k - 1),
+                    awaiting: self.slots[k - 1].next,
                 }
             }
         }
@@ -607,16 +655,17 @@ impl RobbinsEngine {
         if let Some(from) = self.pending_in_dir(CycleDirection::Counterclockwise) {
             // Lines 9–16: a counterclockwise pulse here is the TOKEN, and the
             // segment-0 invariant says it arrives from next_{u, k-1}.
-            let expected = self.view.next(self.k() - 1);
+            let expected = self.slots[self.k() - 1].next;
             if from != expected {
+                let (from, expected) = (self.neighbors[from].id, self.neighbors[expected].id);
                 self.fail(format!(
                     "token pulse arrived from {from}, expected from {expected}"
                 ));
                 return false;
             }
-            self.consume_from(from);
+            self.consume(from);
             // Line 10: RotateEdges().
-            self.view.rotate_edges();
+            self.rotate_edges();
             if !self.queue.is_empty() {
                 // Lines 11–12: become the token holder and start the data
                 // phase (the first pulse is emitted by the sender step).
@@ -639,13 +688,15 @@ impl RobbinsEngine {
                     count: 0,
                     end_occ: None,
                 }),
-                Encoding::Binary { .. } => ReceiverState::Binary(BinaryReceiver {
-                    cw_occ: 0,
-                    ccw_occ: self.k() - 1,
-                    bits: Vec::new(),
-                    zero_run: 0,
-                    terminal: false,
-                }),
+                Encoding::Binary { .. } => {
+                    self.bits.clear();
+                    ReceiverState::Binary(BinaryReceiver {
+                        cw_occ: 0,
+                        ccw_occ: self.k() - 1,
+                        zero_run: 0,
+                        terminal: false,
+                    })
+                }
             };
             self.state = State::Receiver(receiver);
             return true;
@@ -662,7 +713,7 @@ impl RobbinsEngine {
         };
         match current {
             Some(circ) => {
-                if !self.consume_from(circ.awaiting) {
+                if !self.consume(circ.awaiting) {
                     return false;
                 }
                 let k = self.k();
@@ -675,7 +726,7 @@ impl RobbinsEngine {
                             Some(Circulation {
                                 dir: circ.dir,
                                 step,
-                                awaiting: self.view.prev((step + 1) % k),
+                                awaiting: self.slots[(step + 1) % k].prev,
                             })
                         } else {
                             None
@@ -689,7 +740,7 @@ impl RobbinsEngine {
                             Some(Circulation {
                                 dir: circ.dir,
                                 step,
-                                awaiting: self.view.next(step),
+                                awaiting: self.slots[step].next,
                             })
                         } else {
                             None
@@ -744,8 +795,7 @@ impl RobbinsEngine {
         if let Some(eo) = end_occ {
             // Lines 41–44: forward the END at the remaining occurrences,
             // counting down.
-            let from = self.view.next(eo);
-            if !self.consume_from(from) {
+            if !self.consume(self.slots[eo].next) {
                 return false;
             }
             let to = self.view.prev(eo);
@@ -759,9 +809,7 @@ impl RobbinsEngine {
         }
         // Line 37: a counterclockwise pulse ends the DATA loop; it arrives at
         // occurrence k-1 first.
-        let end_from = self.view.next(k - 1);
-        if self.pending_count(end_from) > 0 {
-            self.consume_from(end_from);
+        if self.consume(self.slots[k - 1].next) {
             // Lines 38–40: decode the unary count and deliver.
             match encoding::unary_decode(count) {
                 Ok(bytes) => self.deliver_decoded(&bytes),
@@ -784,9 +832,7 @@ impl RobbinsEngine {
             return true;
         }
         // Lines 33–36: the next DATA pulse is owed at occurrence cw_occ.
-        let data_from = self.view.prev(cw_occ);
-        if self.pending_count(data_from) > 0 {
-            self.consume_from(data_from);
+        if self.consume(self.slots[cw_occ].prev) {
             let to = self.view.next(cw_occ);
             self.emit(to);
             if let State::Receiver(ReceiverState::Unary(r)) = &mut self.state {
@@ -817,14 +863,12 @@ impl RobbinsEngine {
         };
         // Counterclockwise pulses (0-bits / terminal zeros) are expected at
         // occurrence ccw_occ, counting down.
-        let ccw_from = self.view.next(ccw_occ);
-        if self.pending_count(ccw_from) > 0 {
-            self.consume_from(ccw_from);
+        if self.consume(self.slots[ccw_occ].next) {
             let mut now_terminal = terminal;
             if let State::Receiver(ReceiverState::Binary(r)) = &mut self.state {
                 if ccw_occ == k - 1 {
                     // First arrival of this pulse: record a 0 bit.
-                    r.bits.push(false);
+                    self.bits.push(false);
                     r.zero_run += 1;
                     if r.zero_run == l {
                         r.terminal = true;
@@ -838,11 +882,7 @@ impl RobbinsEngine {
             if now_terminal && ccw_occ == 0 {
                 // The last trailing zero has been forwarded at every
                 // occurrence: parse the recorded frame and finish the epoch.
-                let bits = match &mut self.state {
-                    State::Receiver(ReceiverState::Binary(r)) => std::mem::take(&mut r.bits),
-                    _ => unreachable!(),
-                };
-                match encoding::parse_frame(&bits, l) {
+                match encoding::parse_frame(&self.bits, l) {
                     Ok(bytes) => self.deliver_decoded(&bytes),
                     Err(e) => {
                         self.error = Some(e);
@@ -859,14 +899,12 @@ impl RobbinsEngine {
         // Clockwise pulses (1-bits) are expected at occurrence cw_occ — but
         // only until the terminal is detected; afterwards any clockwise pulse
         // is a next-epoch REQUEST and must stay pending.
-        let cw_from = self.view.prev(cw_occ);
-        if !terminal && self.pending_count(cw_from) > 0 {
-            self.consume_from(cw_from);
+        if !terminal && self.consume(self.slots[cw_occ].prev) {
             let to = self.view.next(cw_occ);
             self.emit(to);
             if let State::Receiver(ReceiverState::Binary(r)) = &mut self.state {
                 if cw_occ == 0 {
-                    r.bits.push(true);
+                    self.bits.push(true);
                     r.zero_run = 0;
                 }
                 r.cw_occ = (cw_occ + 1) % k;
@@ -898,9 +936,9 @@ mod tests {
         assert_eq!(e.epochs_completed(), 0);
         assert_eq!(e.queue_len(), 0);
         assert!(e.error().is_none());
-        assert!(e.is_cycle_neighbor(NodeId(0)));
-        assert!(e.is_cycle_neighbor(NodeId(2)));
-        assert!(!e.is_cycle_neighbor(NodeId(3)));
+        assert!(e.view().is_cycle_neighbor(NodeId(0)));
+        assert!(e.view().is_cycle_neighbor(NodeId(2)));
+        assert!(!e.view().is_cycle_neighbor(NodeId(3)));
     }
 
     #[test]
@@ -1101,6 +1139,109 @@ mod tests {
             assert_eq!(e.epochs_completed(), 2);
         }
         assert!(engines.iter().all(RobbinsEngine::is_idle));
+    }
+
+    /// The ids the engine's occurrence slots resolve to, occurrence order.
+    fn slot_ids(e: &RobbinsEngine) -> Vec<(NodeId, NodeId)> {
+        e.slots
+            .iter()
+            .map(|s| (e.neighbors[s.prev].id, e.neighbors[s.next].id))
+            .collect()
+    }
+
+    /// The view's `(prev, next)` per occurrence.
+    fn view_ids(view: &LocalCycleView) -> Vec<(NodeId, NodeId)> {
+        (0..view.occurrence_count())
+            .map(|i| (view.prev(i), view.next(i)))
+            .collect()
+    }
+
+    /// Broadcasts one message from each of `senders` over `engines` (LIFO
+    /// relay) and returns every delivered pulse `(from, to)` in order,
+    /// checking after each delivery that every engine's slots still resolve
+    /// to its view.
+    fn broadcast_round(engines: &mut [RobbinsEngine], senders: &[u32]) -> Vec<(NodeId, NodeId)> {
+        let mut inflight: Vec<(NodeId, NodeId)> = Vec::new();
+        for &s in senders {
+            let e = &mut engines[s as usize];
+            e.enqueue(WireMessage::broadcast(NodeId(s), vec![s as u8, 0x3C]))
+                .unwrap();
+            inflight.extend(e.drain_outgoing().map(|to| (NodeId(s), to)));
+        }
+        let mut trace = Vec::new();
+        while let Some((from, to)) = inflight.pop() {
+            assert!(trace.len() < 100_000, "round did not terminate");
+            trace.push((from, to));
+            let e = &mut engines[to.index()];
+            e.on_pulse(from);
+            assert!(e.error().is_none(), "engine {to}: {:?}", e.error());
+            inflight.extend(e.drain_outgoing().map(|next| (to, next)));
+            for e in engines.iter() {
+                assert_eq!(slot_ids(e), view_ids(e.view()), "engine {}", e.node());
+            }
+        }
+        trace
+    }
+
+    #[test]
+    fn occurrence_slots_follow_the_rotated_view() {
+        // On the figure-1 Robbins cycle nodes 1, 2 and 3 occur twice, so a
+        // token pass rotates a two-occurrence view: the slots must rotate
+        // with it. Several senders make the token visit several nodes.
+        let cycle = fdn_graph::RobbinsCycle::new(
+            [3u32, 0, 1, 2, 3, 4, 1, 2]
+                .iter()
+                .map(|&x| NodeId(x))
+                .collect(),
+        )
+        .unwrap();
+        let mut engines: Vec<RobbinsEngine> = (0..5)
+            .map(|i| {
+                let view = cycle.local_view(NodeId(i)).unwrap();
+                RobbinsEngine::new(view, i == 3, Encoding::binary()).unwrap()
+            })
+            .collect();
+        let initial: Vec<Vec<(NodeId, NodeId)>> =
+            engines.iter().map(|e| view_ids(e.view())).collect();
+        broadcast_round(&mut engines, &[4, 1]);
+        broadcast_round(&mut engines, &[2, 0]);
+        assert!(engines.iter().all(RobbinsEngine::is_idle));
+        for e in &mut engines {
+            assert_eq!(e.take_delivered().len(), 4, "engine {}", e.node());
+        }
+        assert!(
+            engines
+                .iter()
+                .zip(&initial)
+                .any(|(e, v)| v.len() >= 2 && view_ids(e.view()) != *v),
+            "no two-occurrence view was rotated"
+        );
+        // Rebuilt from the rotated views, the engines carry the same slots
+        // and emit the same pulses as the ones that rotated into them.
+        let mut rebuilt: Vec<RobbinsEngine> = engines
+            .iter()
+            .map(|e| {
+                RobbinsEngine::resume_idle(
+                    e.view().clone(),
+                    e.is_token_holder(),
+                    e.encoding(),
+                    e.pulses_sent(),
+                    e.pulses_received(),
+                    e.epochs_completed(),
+                )
+                .unwrap()
+            })
+            .collect();
+        for (a, b) in engines.iter().zip(&rebuilt) {
+            assert_eq!(a.slots, b.slots, "engine {}", a.node());
+        }
+        let ran = broadcast_round(&mut engines, &[0, 3]);
+        let resumed = broadcast_round(&mut rebuilt, &[0, 3]);
+        assert_eq!(ran, resumed);
+        for (a, b) in engines.iter_mut().zip(&mut rebuilt) {
+            assert_eq!(a.take_delivered(), b.take_delivered());
+            assert_eq!(a.pulses_sent(), b.pulses_sent());
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! replaces the flat vector with a **link-indexed** structure:
 //!
 //! * every *directed* adjacency `(u, v)` of the graph is a [`LinkId`],
-//!   assigned once at simulation start in node/neighbour order;
+//!   assigned once at simulation start in sorted `(from, to)` order (the
+//!   graph keeps its adjacency rows sorted, so node order then neighbour
+//!   order is that order);
 //! * each link owns a FIFO queue of envelopes — messages on the same link are
 //!   delivered (or deleted) in send order, like a physical wire;
 //! * the set of **non-empty** links is maintained incrementally, so a
@@ -52,6 +54,14 @@
 //! free, and the materialised head is a view cache, not a stored entry. The
 //! `counting_core` bench charts this ratio against queue depth.
 //!
+//! **Lookup.** The links leaving node `u` hold the consecutive ids
+//! `offsets[u]..offsets[u + 1]` of one CSR offset table, so
+//! [`LinkTable::link_between`] is a binary search over `u`'s row of
+//! endpoints and nothing else. [`crate::Stats`] keeps its per-link counters
+//! in one flat vector laid out by the same ids and offsets: once a send has
+//! resolved its link, the counters are `counts[link]`, with no second
+//! search.
+//!
 //! Determinism: link ids, queue contents and the active-set order are pure
 //! functions of the event sequence, so seeded runs remain byte-reproducible.
 
@@ -69,8 +79,8 @@ use exact::ExactQueues;
 
 /// Identifier of a directed link (an ordered pair of adjacent nodes).
 ///
-/// Ids are dense: `0..link_count()`, assigned in node order, neighbours in
-/// graph adjacency order — a pure function of the graph.
+/// Ids are dense: `0..link_count()`, assigned in sorted `(from, to)` order —
+/// a pure function of the graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 
@@ -199,10 +209,11 @@ impl Backend {
 /// non-empty links. See the [module docs](self) for the design rationale.
 #[derive(Debug, Clone)]
 pub struct LinkTable {
-    /// `(from, to)` endpoints per link id.
+    /// `(from, to)` endpoints per link id, sorted by `(from, to)`.
     ends: Vec<(NodeId, NodeId)>,
-    /// Per source node: `(to, link)` pairs sorted by `to`, for id lookup.
-    from_index: Vec<Vec<(NodeId, LinkId)>>,
+    /// CSR offsets over `ends`: the links leaving node `u` are the ids
+    /// `offsets[u]..offsets[u + 1]` (`node_count + 1` entries).
+    offsets: Vec<u32>,
     /// The queued envelopes, in the chosen representation.
     queues: Backend,
     /// The non-empty links. Order is deterministic (activation order, with
@@ -231,24 +242,19 @@ impl LinkTable {
         // the registry sizes are known before the registration pass.
         let links = 2 * graph.edge_count();
         let mut ends = Vec::with_capacity(links);
-        let mut from_index = Vec::with_capacity(graph.node_count());
+        let mut offsets = Vec::with_capacity(graph.node_count() + 1);
+        offsets.push(0);
         for u in graph.nodes() {
-            let mut row: Vec<(NodeId, LinkId)> = graph
-                .neighbors(u)
-                .iter()
-                .map(|&v| {
-                    let id = LinkId(ends.len() as u32);
-                    ends.push((u, v));
-                    (v, id)
-                })
-                .collect();
-            row.sort_unstable_by_key(|&(to, _)| to);
-            from_index.push(row);
+            // The graph keeps every adjacency row sorted, so ids come out in
+            // `(from, to)` order and each row of `ends` is binary-searchable.
+            ends.extend(graph.neighbors(u).iter().map(|&v| (u, v)));
+            offsets.push(ends.len() as u32);
         }
         debug_assert_eq!(ends.len(), links, "directed links != 2 * edge count");
+        debug_assert!(ends.windows(2).all(|w| w[0] < w[1]), "links out of order");
         LinkTable {
             ends,
-            from_index,
+            offsets,
             queues: Backend::new(store, links),
             active: Vec::with_capacity(links),
             active_pos: vec![INACTIVE; links],
@@ -263,7 +269,7 @@ impl LinkTable {
     }
 
     /// Switches the queue representation, **discarding any queued
-    /// envelopes** (the registry — ids, endpoints, lookup index — is kept).
+    /// envelopes** (the registry — ids, endpoints, offset table — is kept).
     /// Used when warm-starting a cached topology under a different backend
     /// than the one that built it; callers that must preserve in-flight
     /// traffic should not convert mid-run.
@@ -297,10 +303,25 @@ impl LinkTable {
     /// The link carrying messages from `from` to `to`, if the graph has that
     /// adjacency.
     pub fn link_between(&self, from: NodeId, to: NodeId) -> Option<LinkId> {
-        let row = self.from_index.get(from.index())?;
-        row.binary_search_by_key(&to, |&(t, _)| t)
-            .ok()
-            .map(|i| row[i].1)
+        let row = self.row(from)?;
+        let i = self.ends[row.clone()]
+            .binary_search_by_key(&to, |&(_, t)| t)
+            .ok()?;
+        Some(LinkId((row.start + i) as u32))
+    }
+
+    /// The ids of the links leaving `from`, or `None` past the last node.
+    fn row(&self, from: NodeId) -> Option<std::ops::Range<usize>> {
+        let start = *self.offsets.get(from.index())? as usize;
+        let end = *self.offsets.get(from.index() + 1)? as usize;
+        Some(start..end)
+    }
+
+    /// Every link's `(from, to)` endpoints, indexed by id and therefore
+    /// sorted, together with the per-sender CSR offsets over them — what
+    /// [`crate::Stats`] lays its counters out by.
+    pub(crate) fn registry(&self) -> (&[(NodeId, NodeId)], &[u32]) {
+        (&self.ends, &self.offsets)
     }
 
     /// Enqueues an envelope on its link's FIFO queue. Returns the link and
@@ -389,11 +410,10 @@ impl LinkTable {
     }
 
     /// Empties every queue and the active set, keeping the link registry
-    /// (ids, endpoints, lookup index) intact. This is what lets a simulation
+    /// (ids, endpoints, offset table) intact. This is what lets a simulation
     /// be warm-started over the same topology without re-registering links:
-    /// registration sorts every node's adjacency row, while clearing only
-    /// drops queue contents. The [`LinkTable::queue_ops`] counter restarts
-    /// from zero.
+    /// registration walks the whole graph, while clearing only drops queue
+    /// contents. The [`LinkTable::queue_ops`] counter restarts from zero.
     pub fn clear(&mut self) {
         self.queues.clear();
         for pos in &mut self.active_pos {
@@ -501,6 +521,38 @@ mod tests {
         // Non-adjacent pairs have no link.
         assert_eq!(t.link_between(NodeId(0), NodeId(2)), None);
         assert_eq!(t.link_between(NodeId(9), NodeId(0)), None);
+    }
+
+    #[test]
+    fn link_ids_follow_sorted_pairs_and_lookup_matches_a_scan() {
+        // The counters in `Stats` sit at their link's id, in `(from, to)`
+        // order; this pins the order and checks the CSR lookup against a
+        // brute-force scan of the endpoints for every ordered pair,
+        // non-adjacent pairs and ids past the last node included.
+        let graphs = [
+            generators::cycle(5).unwrap(),
+            generators::figure1(),
+            generators::petersen(),
+            generators::random_two_edge_connected(10, 5, 2).unwrap(),
+        ];
+        for g in &graphs {
+            let t = LinkTable::new(g);
+            let ends: Vec<(NodeId, NodeId)> = (0..t.link_count() as u32)
+                .map(|l| t.ends(LinkId(l)))
+                .collect();
+            assert!(ends.windows(2).all(|w| w[0] < w[1]), "ids out of order");
+            let n = g.node_count() as u32;
+            let ids: Vec<NodeId> = (0..n + 2).chain([u32::MAX]).map(NodeId).collect();
+            for &from in &ids {
+                for &to in &ids {
+                    let scan = ends
+                        .iter()
+                        .position(|&e| e == (from, to))
+                        .map(|i| LinkId(i as u32));
+                    assert_eq!(t.link_between(from, to), scan, "{from} -> {to}");
+                }
+            }
+        }
     }
 
     #[test]

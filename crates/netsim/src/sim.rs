@@ -70,15 +70,15 @@ impl<R: Reactor> Simulation<R> {
                 reactors: nodes.len(),
             });
         }
-        let n = graph.node_count();
         let links = LinkTable::new(&graph);
+        let stats = Stats::registered(graph.node_count(), &links);
         Ok(Simulation {
             graph,
             nodes,
             links,
             noise: Box::new(Noiseless),
             scheduler: Box::new(RandomScheduler::new(0)),
-            stats: Stats::new(n),
+            stats,
             transcript: None,
             observer: NullObserver,
             outbox: Vec::new(),
@@ -92,10 +92,12 @@ impl<R: Reactor> Simulation<R> {
 
     /// Warm-starts a simulation from an already-registered link table — the
     /// counterpart of [`Simulation::into_parts`], and the fast path for
-    /// replaying many runs over one topology: link registration (which sorts
-    /// every node's adjacency row) is skipped, the table is merely cleared.
-    /// Everything else matches [`Simulation::new`]: fresh counters, default
-    /// noise/scheduler/step limit, not yet started.
+    /// replaying many runs over one topology: the table keeps its registry
+    /// (ids, endpoints, offset table) and only has its queues cleared, so no
+    /// link is registered again. The table is checked against `graph`
+    /// first: every adjacency must have its link. Everything else matches
+    /// [`Simulation::new`]: fresh counters (laid out by the table's links),
+    /// default noise/scheduler/step limit, not yet started.
     ///
     /// # Errors
     ///
@@ -131,14 +133,14 @@ impl<R: Reactor> Simulation<R> {
             }
         }
         links.clear();
-        let n = graph.node_count();
+        let stats = Stats::registered(graph.node_count(), &links);
         Ok(Simulation {
             graph,
             nodes,
             links,
             noise: Box::new(Noiseless),
             scheduler: Box::new(RandomScheduler::new(0)),
-            stats: Stats::new(n),
+            stats,
             transcript: None,
             observer: NullObserver,
             outbox: Vec::new(),
@@ -548,8 +550,14 @@ impl<R: Reactor, O: Observer> Simulation<R, O> {
         }
         let bits = env.bits();
         let depth = self.links.push_on(link, env);
-        self.stats
-            .record_enqueue(from, to, bits, depth as u64, self.links.total() as u64);
+        self.stats.record_enqueue(
+            link,
+            from,
+            to,
+            bits,
+            depth as u64,
+            self.links.total() as u64,
+        );
         if depth == 1 {
             self.observer.on_link_activation(link, from, to);
         }
@@ -865,6 +873,22 @@ mod tests {
             Simulation::from_parts(ring5, links, nodes),
             Err(SimError::LinkTopologyMismatch { .. })
         ));
+
+        // A table registered over the same ring plus isolated nodes holds
+        // the same links, so it is accepted: the counters it lays out still
+        // cover exactly this graph's nodes.
+        let mut padded = Graph::new(7);
+        for u in 0..5 {
+            padded.add_edge(NodeId(u), NodeId((u + 1) % 5)).unwrap();
+        }
+        let nodes = (0..5).map(|_| RingOnce::new(5)).collect();
+        let links = LinkTable::new(&padded);
+        let mut warm = Simulation::from_parts(generators::cycle(5).unwrap(), links, nodes).unwrap();
+        warm.run().unwrap();
+        let mut fresh = ring_sim(5);
+        fresh.run().unwrap();
+        assert_eq!(warm.stats().snapshot(), fresh.stats().snapshot());
+        assert_eq!(warm.stats().per_node_sent.len(), 5);
     }
 
     #[test]

@@ -9,8 +9,9 @@ use fdn_graph::graph::Edge;
 use fdn_graph::NodeId;
 
 use crate::envelope::Envelope;
+use crate::links::{LinkId, LinkTable};
 
-/// Counters of one directed link `from -> to`, kept in the sender's row.
+/// Counters of one directed link `from -> to`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LinkCounts {
     from: NodeId,
@@ -23,6 +24,15 @@ struct LinkCounts {
 }
 
 impl LinkCounts {
+    fn zeroed(from: NodeId, to: NodeId) -> Self {
+        LinkCounts {
+            from,
+            to,
+            sent: 0,
+            high_water: None,
+        }
+    }
+
     /// Raises the high-water mark to `depth`.
     fn mark_depth(&mut self, depth: u64) {
         self.high_water = Some(self.high_water.map_or(depth, |mark| mark.max(depth)));
@@ -31,11 +41,18 @@ impl LinkCounts {
 
 /// Counters maintained by a [`crate::Simulation`].
 ///
-/// The per-link counters live in one row per sending node, sorted by
-/// receiver like the link registry's lookup rows, so recording a send is a
-/// short binary search and never hashes. A link gets its entry on its first
-/// send or queue-depth record. [`Stats::snapshot`] folds the rows into
-/// sorted per-edge and per-link vectors.
+/// The per-link counters live in one flat vector sorted by `(from, to)`,
+/// cut into one row per sender by an offset table, so a `(from, to)` record
+/// is a short binary search in the sender's row and never hashes. A
+/// simulation's `Stats` is registered over its [`LinkTable`]: every link
+/// has its (zeroed) entry from the start, at the index of its [`LinkId`]
+/// (ids follow the same order, see [`crate::links`]), so recording a send
+/// whose link is already resolved is a plain index. [`Stats::new`] starts
+/// empty instead, and a pair gets its entry on its first send or
+/// queue-depth record. [`Stats::snapshot`] folds the vector into sorted
+/// per-edge and per-link vectors; entries that never counted anything do
+/// not show. `==` compares the layout too, so compare snapshots to ask
+/// whether registered and unregistered counters recorded the same.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stats {
     /// Total messages (pulses) sent.
@@ -55,11 +72,13 @@ pub struct Stats {
     pub max_inflight: u64,
     /// Messages sent per node (indexed by node id).
     pub per_node_sent: Vec<u64>,
-    /// Row `i < n` holds the counters of the links leaving node `i`; the
-    /// last row holds those of every sender id `>= n`, so an out-of-range
-    /// id costs one entry, never a row per id. Rows are sorted by
-    /// `(from, to)`.
-    rows: Vec<Vec<LinkCounts>>,
+    /// The per-link counters, sorted by `(from, to)`.
+    counts: Vec<LinkCounts>,
+    /// Row `r` of `counts` is `offsets[r]..offsets[r + 1]` (`n + 2`
+    /// entries): row `i < n` holds the links leaving node `i`, row `n`
+    /// those of every sender id `>= n`, so an out-of-range id costs one
+    /// entry, never a row per id.
+    offsets: Vec<u32>,
 }
 
 impl Default for Stats {
@@ -78,20 +97,43 @@ impl Stats {
             bits_sent: 0,
             max_inflight: 0,
             per_node_sent: vec![0; n],
-            rows: vec![Vec::new(); n + 1],
+            counts: Vec::new(),
+            offsets: vec![0; n + 2],
         }
+    }
+
+    /// Zeroed counters for a graph with `n` nodes, registered over its
+    /// `links`: one entry per link, at its id, so
+    /// [`record_enqueue`](Self::record_enqueue) needs no search.
+    pub(crate) fn registered(n: usize, links: &LinkTable) -> Self {
+        let (ends, offsets) = links.registry();
+        let mut stats = Stats::new(n);
+        stats.counts = ends
+            .iter()
+            .map(|&(from, to)| LinkCounts::zeroed(from, to))
+            .collect();
+        // Every link joins two of the graph's nodes, so a table registered
+        // over more nodes has empty rows past `n`, and rows the table does
+        // not have are empty too.
+        for (row, end) in stats.offsets.iter_mut().enumerate() {
+            *end = offsets.get(row).copied().unwrap_or(ends.len() as u32);
+        }
+        stats
     }
 
     /// Records a send.
     pub fn record_send(&mut self, env: &Envelope) {
-        self.count_send(env.from, env.to, env.bits());
+        self.count_send(env.from, env.bits());
+        self.link_mut(env.from, env.to).sent += 1;
     }
 
     /// [`record_send`](Self::record_send) of a `bits`-long message on
-    /// `from -> to` plus [`record_queue_depth`](Self::record_queue_depth)
-    /// of the enqueue that followed, with one lookup of the link's counters.
+    /// `link` (`from -> to`) plus
+    /// [`record_queue_depth`](Self::record_queue_depth) of the enqueue that
+    /// followed. On registered counters the link's entry is `counts[link]`.
     pub(crate) fn record_enqueue(
         &mut self,
+        link: LinkId,
         from: NodeId,
         to: NodeId,
         bits: u64,
@@ -99,7 +141,10 @@ impl Stats {
         total_inflight: u64,
     ) {
         self.max_inflight = self.max_inflight.max(total_inflight);
-        self.count_send(from, to, bits).mark_depth(link_depth);
+        self.count_send(from, bits);
+        let counts = self.link_at(link, from, to);
+        counts.sent += 1;
+        counts.mark_depth(link_depth);
     }
 
     /// Records a delivery.
@@ -149,7 +194,7 @@ impl Stats {
     pub fn snapshot(&self) -> StatsSnapshot {
         let mut per_edge_sent: Vec<(Edge, u64)> = Vec::new();
         let mut per_link_high_water: Vec<((NodeId, NodeId), u64)> = Vec::new();
-        for l in self.rows.iter().flatten() {
+        for l in &self.counts {
             if l.sent > 0 {
                 per_edge_sent.push((Edge::new(l.from, l.to), l.sent));
             }
@@ -177,53 +222,73 @@ impl Stats {
         }
     }
 
-    /// Counts one send in every total and returns its link's counters.
-    fn count_send(&mut self, from: NodeId, to: NodeId, bits: u64) -> &mut LinkCounts {
+    /// Counts one `bits`-long send by `from` in every total but the
+    /// per-link one.
+    fn count_send(&mut self, from: NodeId, bits: u64) {
         self.sent_total += 1;
         self.bits_sent += bits;
         if let Some(slot) = self.per_node_sent.get_mut(from.index()) {
             *slot += 1;
         }
-        let link = self.link_mut(from, to);
-        link.sent += 1;
-        link
     }
 
-    fn row(&self, from: NodeId) -> usize {
-        from.index().min(self.rows.len() - 1)
+    /// The entries of `from`'s row.
+    fn row(&self, from: NodeId) -> std::ops::Range<usize> {
+        let r = from.index().min(self.offsets.len() - 2);
+        self.offsets[r] as usize..self.offsets[r + 1] as usize
+    }
+
+    /// Position of `from -> to` in `counts`, or where it would be inserted.
+    fn search(&self, from: NodeId, to: NodeId) -> Result<usize, usize> {
+        let row = self.row(from);
+        self.counts[row.clone()]
+            .binary_search_by_key(&(from, to), |l| (l.from, l.to))
+            .map(|i| row.start + i)
+            .map_err(|i| row.start + i)
     }
 
     fn link(&self, from: NodeId, to: NodeId) -> Option<&LinkCounts> {
-        let row = &self.rows[self.row(from)];
-        let i = row.binary_search_by_key(&(from, to), |l| (l.from, l.to));
-        i.ok().map(|i| &row[i])
+        self.search(from, to).ok().map(|i| &self.counts[i])
+    }
+
+    /// The counters of `link` (`from -> to`): on registered counters, the
+    /// entry at its index. The entry's ends are checked before the index is
+    /// trusted, so counters without that entry there (unregistered, or
+    /// shifted by a pair recorded outside the registry) fall back to
+    /// [`link_mut`](Self::link_mut).
+    fn link_at(&mut self, link: LinkId, from: NodeId, to: NodeId) -> &mut LinkCounts {
+        let i = link.index();
+        if self
+            .counts
+            .get(i)
+            .is_some_and(|l| (l.from, l.to) == (from, to))
+        {
+            return &mut self.counts[i];
+        }
+        self.link_mut(from, to)
     }
 
     /// The counters of `from -> to`, created zeroed on first use.
     fn link_mut(&mut self, from: NodeId, to: NodeId) -> &mut LinkCounts {
-        let row = self.row(from);
-        let row = &mut self.rows[row];
-        let i = match row.binary_search_by_key(&(from, to), |l| (l.from, l.to)) {
+        let i = match self.search(from, to) {
             Ok(i) => i,
             Err(i) => {
-                let fresh = LinkCounts {
-                    from,
-                    to,
-                    sent: 0,
-                    high_water: None,
-                };
-                row.insert(i, fresh);
+                self.counts.insert(i, LinkCounts::zeroed(from, to));
+                let r = from.index().min(self.offsets.len() - 2);
+                for end in &mut self.offsets[r + 1..] {
+                    *end += 1;
+                }
                 i
             }
         };
-        &mut row[i]
+        &mut self.counts[i]
     }
 }
 
 /// A frozen, ordered view of a [`Stats`] at one instant.
 ///
-/// Unlike [`Stats`] (whose per-link counters sit in per-sender rows, one
-/// entry per direction), a snapshot is a plain value: `Clone`/`PartialEq`/
+/// Unlike [`Stats`] (whose per-link counters sit in one entry per
+/// direction, zeroed entries included), a snapshot is a plain value: `Clone`/`PartialEq`/
 /// `Eq`, per-edge counters summed over both directions and sorted by edge,
 /// and therefore safe to diff, aggregate across parallel runs, and
 /// serialize byte-identically. This is the type report
@@ -323,6 +388,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    use fdn_graph::generators;
+
     use super::*;
 
     fn env(from: u32, to: u32, len: usize) -> Envelope {
@@ -419,14 +486,21 @@ mod tests {
     fn rows_match_an_ordered_map_reference() {
         // Random sends and queue-depth marks in both directions of each
         // pair, on node ids past `n` too (up to the largest id), with
-        // depth-0 marks and links that are marked but never sent on: the
-        // rows must fold into exactly the snapshot an ordered map per
-        // counter gives.
+        // depth-0 marks and links that are marked but never sent on. Each
+        // sequence is recorded twice: by `(from, to)` into `Stats::new(n)`,
+        // and by link id into counters registered over a graph's links
+        // (pairs that are no link go by `(from, to)` there too, inserting
+        // entries among the registered ones). Both must fold into exactly
+        // the snapshot an ordered map per counter gives.
         const N: u32 = 6;
+        let mut graph = generators::cycle(N as usize).unwrap();
+        graph.add_edge(NodeId(0), NodeId(3)).unwrap();
+        let links = LinkTable::new(&graph);
         let ids: Vec<NodeId> = (0..N + 2).chain([u32::MAX]).map(NodeId).collect();
         for seed in 0..20u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut stats = Stats::new(N as usize);
+            let mut by_pair = Stats::new(N as usize);
+            let mut by_link = Stats::registered(N as usize, &links);
             // The reference: one ordered map per counter, keyed by
             // undirected edge and by directed link.
             let mut per_edge_sent: BTreeMap<Edge, u64> = BTreeMap::new();
@@ -439,54 +513,83 @@ mod tests {
                         break to;
                     }
                 };
+                let link = links.link_between(from, to);
                 if rng.gen_bool(0.5) {
-                    stats.record_send(&env(from.0, to.0, 1));
+                    by_pair.record_send(&env(from.0, to.0, 1));
+                    match link {
+                        Some(l) => {
+                            by_link.count_send(from, 8);
+                            by_link.link_at(l, from, to).sent += 1;
+                        }
+                        None => by_link.record_send(&env(from.0, to.0, 1)),
+                    }
                     *per_edge_sent.entry(Edge::new(from, to)).or_insert(0) += 1;
                 } else {
                     let depth = rng.gen_range(0..4u64);
-                    stats.record_queue_depth(from, to, depth, depth);
+                    by_pair.record_queue_depth(from, to, depth, depth);
+                    match link {
+                        Some(l) => {
+                            by_link.max_inflight = by_link.max_inflight.max(depth);
+                            by_link.link_at(l, from, to).mark_depth(depth);
+                        }
+                        None => by_link.record_queue_depth(from, to, depth, depth),
+                    }
                     let mark = per_link_high_water.entry((from, to)).or_insert(0);
                     *mark = (*mark).max(depth);
                 }
             }
-            let snap = stats.snapshot();
             let edges: Vec<(Edge, u64)> = per_edge_sent.iter().map(|(&e, &c)| (e, c)).collect();
             let marks: Vec<((NodeId, NodeId), u64)> =
                 per_link_high_water.iter().map(|(&l, &c)| (l, c)).collect();
-            assert_eq!(snap.per_edge_sent, edges, "seed {seed}");
-            assert_eq!(snap.per_link_high_water, marks, "seed {seed}");
-            for (i, &u) in ids.iter().enumerate() {
-                for &v in &ids[i + 1..] {
-                    let e = Edge::new(u, v);
-                    let expected = per_edge_sent.get(&e).copied().unwrap_or(0);
-                    assert_eq!(stats.sent_on_edge(e), expected, "seed {seed}, {e:?}");
+            for stats in [&by_pair, &by_link] {
+                let snap = stats.snapshot();
+                assert_eq!(snap.per_edge_sent, edges, "seed {seed}");
+                assert_eq!(snap.per_link_high_water, marks, "seed {seed}");
+                for (i, &u) in ids.iter().enumerate() {
+                    for &v in &ids[i + 1..] {
+                        let e = Edge::new(u, v);
+                        let expected = per_edge_sent.get(&e).copied().unwrap_or(0);
+                        assert_eq!(stats.sent_on_edge(e), expected, "seed {seed}, {e:?}");
+                    }
                 }
             }
+            assert_eq!(by_pair.snapshot(), by_link.snapshot(), "seed {seed}");
         }
     }
 
     #[test]
     fn record_enqueue_equals_the_public_pair() {
-        // The simulation's one-lookup send record must leave exactly the
-        // counters of `record_send` followed by `record_queue_depth`,
-        // including for sender ids past `n`.
+        // The simulation's indexed send record must leave exactly the
+        // counters of `record_send` followed by `record_queue_depth`, on
+        // registered and on unregistered counters (where the id indexes
+        // nothing and the record falls back to the search), including for
+        // sender ids past `n` and pairs that are no link.
         const N: u32 = 5;
+        let links = LinkTable::new(&generators::cycle(N as usize).unwrap());
         let ids: Vec<NodeId> = (0..N + 2).chain([u32::MAX]).map(NodeId).collect();
         for seed in 0..10u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut fused = Stats::new(N as usize);
-            let mut pair = Stats::new(N as usize);
-            for _ in 0..200 {
-                let from = ids[rng.gen_range(0..ids.len())];
-                let to = ids[rng.gen_range(0..ids.len())];
-                let e = env(from.0, to.0, rng.gen_range(1..4usize));
-                let depth = rng.gen_range(1..6u64);
-                let inflight = depth + rng.gen_range(0..4u64);
-                fused.record_enqueue(from, to, e.bits(), depth, inflight);
-                pair.record_send(&e);
-                pair.record_queue_depth(from, to, depth, inflight);
+            for fresh in [
+                Stats::new(N as usize),
+                Stats::registered(N as usize, &links),
+            ] {
+                let mut fused = fresh.clone();
+                let mut pair = fresh;
+                for _ in 0..200 {
+                    let from = ids[rng.gen_range(0..ids.len())];
+                    let to = ids[rng.gen_range(0..ids.len())];
+                    let link = links
+                        .link_between(from, to)
+                        .unwrap_or(LinkId(rng.gen_range(0..2 * N)));
+                    let e = env(from.0, to.0, rng.gen_range(1..4usize));
+                    let depth = rng.gen_range(1..6u64);
+                    let inflight = depth + rng.gen_range(0..4u64);
+                    fused.record_enqueue(link, from, to, e.bits(), depth, inflight);
+                    pair.record_send(&e);
+                    pair.record_queue_depth(from, to, depth, inflight);
+                }
+                assert_eq!(fused, pair, "seed {seed}");
             }
-            assert_eq!(fused, pair, "seed {seed}");
         }
     }
 
